@@ -10,7 +10,10 @@
 //   --per-type N   quick-suite workloads per (category, type)   [default 1]
 //   --mixes N      quick-suite cross-category mixes             [default 8]
 //   --seed S       master workload seed                          [default 1]
-//   --filter SUB   keep only workloads whose name contains SUB
+//   --filter SUB   keep only workloads whose name contains SUB; slices
+//                  such as .ilp./.mem./.mix. run on separate hosts into
+//                  separate --cache-dir stores, which tools/store_merge
+//                  unions (README "Splitting a sweep across hosts")
 //   --list         print the selected suite and exit
 //   --csv PATH     also write the table as CSV
 //   --json PATH    also write the table as JSON
@@ -25,23 +28,6 @@
 //                  results identical)
 //   --golden-emit PATH  also write the table as golden JSON (the format
 //                  tools/golden_diff compares; see bench/golden/)
-//   --shard-workers N  distributed mode: farm cache-miss cells to N local
-//                  sweep_worker processes through a spool directory, then
-//                  assemble the tables from the (now warm) --cache-dir.
-//                  Requires --cache-dir. Output is bit-identical for any
-//                  N, including 0 (in-process). See README "Distributed
-//                  sweeps".
-//   --spool-dir D  shared spool directory for --shard-workers (falls back
-//                  to $CLUSMT_SPOOL_DIR; default: a fresh temp dir). Point
-//                  several hosts' workers at one shared D to fan out
-//                  across machines.
-//   --worker-bin P sweep_worker binary to spawn (falls back to
-//                  $CLUSMT_WORKER_BIN, then next to the bench binary)
-//   --degrade-local  when the worker swarm cannot make progress (missing
-//                  binary, spawn failures, dead workers, exhausted cells),
-//                  warn and simulate the remaining cells in-process
-//                  instead of aborting the sweep; tables stay
-//                  bit-identical
 #pragma once
 
 #include <chrono>
@@ -84,7 +70,6 @@ struct BenchOptions {
   bool no_tape = false;
   bool skip_ahead = true;
   bool rename_memo = true;
-  harness::ShardSpec shard;
 
   static BenchOptions parse(int argc, char** argv, Cycle default_cycles,
                             Cycle default_warmup = 50000) {
@@ -117,15 +102,6 @@ struct BenchOptions {
     harness::TapeRegistry::instance().set_enabled(!opt.no_tape);
     opt.skip_ahead = !args.get_bool("no-skip-ahead", false);
     opt.rename_memo = !args.get_bool("no-rename-memo", false);
-    opt.shard.workers = static_cast<int>(args.get_int("shard-workers", 0));
-    opt.shard.spool_dir = args.get_string("spool-dir", "");
-    if (opt.shard.spool_dir.empty()) {
-      if (const char* env = std::getenv("CLUSMT_SPOOL_DIR")) {
-        opt.shard.spool_dir = env;
-      }
-    }
-    opt.shard.worker_bin = args.get_string("worker-bin", "");
-    opt.shard.degrade_local = args.get_bool("degrade-local", false);
     return opt;
   }
 
@@ -172,7 +148,6 @@ struct BenchOptions {
     spec.cycles = cycles;
     spec.warmup = warmup;
     spec.jobs = jobs;
-    spec.shard = shard;
     spec.skip_ahead = skip_ahead;
     spec.rename_memo = rename_memo;
     return spec;

@@ -4,12 +4,10 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
 #include <mutex>
-#include <thread>
 
 #include "common/hash.h"
 #include "common/rng.h"
@@ -39,14 +37,12 @@ Registry& registry() {
   return r;
 }
 
-/// Firing streams are independent per (seed, point, process): the pid mix
-/// makes sibling workers sharing one CLUSMT_FAULTS schedule fire at
-/// different call ordinals instead of in lock-step.
+/// Firing streams are independent per (seed, point) and identical from run
+/// to run, so a schedule replays the same fault sequence.
 Xoshiro256 stream_for(std::string_view point, std::uint64_t seed) {
   Fnv1a h;
   h.add(point);
-  return Xoshiro256(hash_combine(hash_combine(seed, h.digest()),
-                                 static_cast<std::uint64_t>(::getpid())));
+  return Xoshiro256(hash_combine(seed, h.digest()));
 }
 
 // The env parse must go through these _impl entry points, never the public
@@ -62,8 +58,7 @@ void ensure_env_armed() {
       if (!arm_from_spec_impl(env)) {
         std::fprintf(stderr,
                      "warning: malformed CLUSMT_FAULTS entry ignored "
-                     "(format: point:mode[:prob[:seed[:max_fires"
-                     "[:delay_ms]]]])\n");
+                     "(format: point:mode[:prob[:seed[:max_fires]]])\n");
       }
     }
   });
@@ -84,7 +79,6 @@ bool parse_mode(std::string_view name, Mode& out) {
   if (name == "error") return out = Mode::kError, true;
   if (name == "partial") return out = Mode::kPartial, true;
   if (name == "crash") return out = Mode::kCrash, true;
-  if (name == "delay") return out = Mode::kDelay, true;
   if (name == "enospc") return out = Mode::kEnospc, true;
   return false;
 }
@@ -159,16 +153,13 @@ bool arm_from_spec_impl(std::string_view schedule) {
       continue;
     }
 
-    std::string_view fields[6];
+    std::string_view fields[5];
     std::size_t count = 0;
-    std::size_t from = 0;
-    while (count < 6) {
+    for (std::size_t from = 0;;) {
+      if (count == std::size(fields)) return false;  // a sixth field
       const std::size_t colon = entry.find(':', from);
-      if (colon == std::string_view::npos) {
-        fields[count++] = trim(entry.substr(from));
-        break;
-      }
       fields[count++] = trim(entry.substr(from, colon - from));
+      if (colon == std::string_view::npos) break;
       from = colon + 1;
     }
     if (count < 2 || fields[0].empty()) return false;
@@ -194,10 +185,6 @@ bool arm_from_spec_impl(std::string_view schedule) {
       if (!number(fields[4], value) || value < 0) return false;
       spec.max_fires = static_cast<std::uint64_t>(value);
     }
-    if (count > 5) {
-      if (!number(fields[5], value) || value < 0) return false;
-      spec.delay_ms = static_cast<int>(value);
-    }
     arm_impl(fields[0], spec);
     if (end == schedule.size()) break;
   }
@@ -217,7 +204,6 @@ Mode maybe_fail(std::string_view point) {
   if (r.armed.load(std::memory_order_relaxed) == 0) return Mode::kOff;
 
   Mode fired = Mode::kOff;
-  int delay_ms = 0;
   {
     std::lock_guard lock(r.mutex);
     const auto it = r.points.find(point);
@@ -231,16 +217,11 @@ Mode maybe_fail(std::string_view point) {
       recount_armed_locked(r);
     }
     fired = p.spec.mode;
-    delay_ms = p.spec.delay_ms;
   }
   if (fired == Mode::kCrash) {
     // The whole process dies here, as a power cut or kill -9 would land at
     // this exact point: no destructors, no atexit, no flushing.
     ::_exit(kCrashExitCode);
-  }
-  if (fired == Mode::kDelay) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(delay_ms));
-    return Mode::kOff;
   }
   return fired;
 }

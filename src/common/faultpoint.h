@@ -1,32 +1,29 @@
-// Process-wide fault-injection registry. Every recovery path of the
-// persistence/distribution stack (fsio, run_store, spool, shard,
-// sweep_worker) guards its failure-prone operations with a named fault
-// point; the point is compiled into ALL builds and costs one relaxed
-// atomic load while nothing is armed, so production binaries carry the
-// exact code paths the chaos tests exercise.
+// Process-wide fault-injection registry. Every recovery path of the run
+// store's persistence stack (fsio, run_store) guards its failure-prone
+// operations with a named fault point: fsio.write, fsio.rename,
+// run_store.load and run_store.save. A point is compiled into ALL builds
+// and costs one relaxed atomic load while nothing is armed, so production
+// binaries carry the exact code paths the chaos tests exercise.
 //
 // Arming:
-//   - environment: CLUSMT_FAULTS="<point>:<mode>[:<prob>[:<seed>[:<max_fires>
-//     [:<delay_ms>]]]]" with entries separated by ',' or ';', parsed once at
-//     the first fault-point use of the process. Spawned workers inherit the
-//     variable, so one schedule arms a whole swarm.
+//   - environment: CLUSMT_FAULTS="<point>:<mode>[:<prob>[:<seed>
+//     [:<max_fires>]]]" with entries separated by ',' or ';', parsed once
+//     at the first fault-point use of the process.
 //   - programmatic: arm()/arm_from_spec() from tests and the chaos harness.
 //
 // Modes (what a *fired* point does):
-//   error    the call site returns its failure path (I/O error, spawn fail)
+//   error    the call site returns its failure path (an I/O error)
 //   enospc   the call site emulates a full disk (partial write, then fail)
 //   partial  a torn write: a prefix of the bytes lands and SUCCESS is
 //            reported — the undetectable-at-write-time corruption that
 //            checksummed readers must catch
 //   crash    _exit(kCrashExitCode) inside maybe_fail — the process dies at
 //            the point, exactly where a kill -9 or power loss would land
-//   delay    sleeps delay_ms inside maybe_fail, then proceeds normally
-//            (lease-expiry and straggler-stealing pressure)
 //
 // Firing is per-point pseudo-random: probability `prob` per evaluation,
-// drawn from a deterministic stream seeded by (seed, point name, pid) — the
-// pid mixing makes sibling worker processes fire at different call ordinals
-// under one shared schedule. `max_fires` (0 = unlimited) retires a point
+// drawn from a deterministic stream seeded by (seed, point name), so a
+// schedule fires at the same evaluation ordinals in every run and a crash
+// it provokes can be replayed. `max_fires` (0 = unlimited) retires a point
 // after N fires, turning a fault transient.
 #pragma once
 
@@ -41,12 +38,11 @@ enum class Mode {
   kError,
   kPartial,
   kCrash,
-  kDelay,
   kEnospc,
 };
 
 /// Exit status of a kCrash fire; distinguishable from real signals and
-/// normal exits in worker post-mortems.
+/// normal exits.
 inline constexpr int kCrashExitCode = 86;
 
 struct ArmSpec {
@@ -54,7 +50,6 @@ struct ArmSpec {
   double probability = 1.0;     // per-evaluation fire chance, clamped [0,1]
   std::uint64_t seed = 0;       // perturbs the per-point firing stream
   std::uint64_t max_fires = 0;  // retire after N fires; 0 = unlimited
-  int delay_ms = 20;            // kDelay sleep per fire
 };
 
 /// Arms (or re-arms) `point`. Mode kOff disarms it.
@@ -74,9 +69,8 @@ void disarm_all();
 [[nodiscard]] bool arm_from_spec(std::string_view schedule);
 
 /// Evaluates `point`: kOff when unarmed or the draw did not fire. kCrash
-/// never returns (the process _exits); kDelay sleeps internally and then
-/// reports kOff so call sites need no delay handling. kError / kEnospc /
-/// kPartial are returned for the call site to interpret.
+/// never returns (the process _exits). kError / kEnospc / kPartial are
+/// returned for the call site to interpret.
 Mode maybe_fail(std::string_view point);
 
 /// Convenience for call sites with a single failure behaviour: true when
@@ -91,8 +85,8 @@ Mode maybe_fail(std::string_view point);
 /// Currently armed (non-retired) points.
 [[nodiscard]] std::size_t armed_count();
 
-/// Parses a mode name ("error", "partial", "crash", "delay", "enospc",
-/// "off"); false on anything else.
+/// Parses a mode name ("error", "partial", "crash", "enospc", "off");
+/// false on anything else.
 [[nodiscard]] bool parse_mode(std::string_view name, Mode& out);
 
 }  // namespace clusmt::faultpoint

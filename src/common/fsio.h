@@ -15,6 +15,9 @@ namespace clusmt {
 /// renamed over `path`. Readers therefore observe either the old file or
 /// the complete new one, never a prefix. Returns false (and removes the
 /// temp file) on any I/O failure; the previous `path` contents survive.
+/// A crash between fsync and rename orphans the temp file
+/// (`<path>.tmp.<pid>.<n>`); for run-store records, gc_run_store deletes
+/// it once it is older than harness::kOrphanTempAge.
 ///
 /// Carries the `fsio.write` / `fsio.rename` fault points
 /// (common/faultpoint.h): open/rename failure, ENOSPC mid-write, a torn

@@ -2,24 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
 
 namespace clusmt {
 
 ThreadPool::ThreadPool(std::size_t threads) {
-  if (threads == 0) {
-    // $CLUSMT_JOBS caps the "all cores" default: the shard coordinator
-    // exports it when it divides the host among several spawned worker
-    // processes, so a worker's pools never oversubscribe the machine with
-    // hardware_concurrency threads each.
-    if (const char* env = std::getenv("CLUSMT_JOBS")) {
-      char* end = nullptr;
-      const unsigned long v = std::strtoul(env, &end, 10);
-      if (end != env && *end == '\0' && v > 0) {
-        threads = static_cast<std::size_t>(v);
-      }
-    }
-  }
   if (threads == 0) {
     threads = std::max(1u, std::thread::hardware_concurrency());
   }

@@ -19,8 +19,7 @@ namespace clusmt {
 
 class ThreadPool {
  public:
-  /// threads == 0 means $CLUSMT_JOBS when set (the shard coordinator's
-  /// per-process core budget), else hardware_concurrency (at least 1).
+  /// threads == 0 means hardware_concurrency (at least 1).
   explicit ThreadPool(std::size_t threads = 0);
   ~ThreadPool();
 

@@ -1,8 +1,7 @@
-// Fixed-width little-endian wire primitives shared by every on-disk record
-// the harness emits: RunStore cell results (harness/run_store.cc) and spool
-// cell specs (harness/spool.cc). The layout is platform independent so a
-// cache or spool directory can be shared across hosts of different
-// endianness/word size.
+// Fixed-width little-endian wire primitives for the on-disk records the
+// harness emits: RunStore cell results (harness/run_store.cc). The layout
+// is platform independent so stores filled on hosts of different
+// endianness/word size can be merged and shared.
 #pragma once
 
 #include <cstdint>
@@ -21,8 +20,6 @@ class ByteWriter {
   void u64(std::uint64_t v) {
     for (int i = 0; i < 8; ++i) buf_.push_back(char(v >> (8 * i)));
   }
-  /// Signed values travel as their two's-complement u64 image.
-  void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
   void f64(double v) {
     std::uint64_t bits;
     std::memcpy(&bits, &v, sizeof bits);
@@ -62,7 +59,6 @@ class ByteReader {
     }
     return v;
   }
-  std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
   double f64() {
     const std::uint64_t bits = u64();
     double v;

@@ -356,7 +356,6 @@ void Simulator::capture_snapshot(SkipSnapshot& snap) const {
   snap.steer = steering_.stats();
   snap.mob = mob_->stats();
   snap.event_order = event_order_;
-  snap.events_coalesced = events_coalesced_;
   snap.select_fingerprint = policy_.select_state_fingerprint();
   snap.last_commit_cycle = last_commit_cycle_;
   for (int t = 0; t < config_.num_threads; ++t) {
@@ -383,7 +382,6 @@ bool Simulator::probe_delta_replicable(const SkipSnapshot& snap) const {
   // element-wise check.
   if (blocked_epoch_ != snap.blocked_epoch) return false;
   if (event_order_ != snap.event_order) return false;
-  if (events_coalesced_ != snap.events_coalesced) return false;
   if (last_commit_cycle_ != snap.last_commit_cycle) return false;
   // Starvation flags feed CDPRF's counters through the view; replication
   // (and the quiesce replay) assume they repeat identically.
@@ -696,32 +694,22 @@ void Simulator::schedule(Cycle cycle, EventKind kind, const DynUop& uop) {
   assert(delta >= 1 && "events must be scheduled strictly in the future");
   // Min-update the next-event hint while it is valid (> now_). A stale
   // hint must stay stale — earlier events it does not know about may be
-  // pending — until next_event_cycle() rescans. The update is sound even
-  // on the coalesce return below: a record for `cycle` already exists.
+  // pending — until next_event_cycle() rescans.
   if (next_event_hint_ > now_ && cycle < next_event_hint_) {
     next_event_hint_ = cycle;
   }
   const int rob_slot = robs_[uop.tid].slot_of(uop);
-  if (event_model_ == EventModel::kCoalescedWheel &&
-      delta < kEventWheelBuckets) {
+  if (event_model_ == EventModel::kWheel && delta < kEventWheelBuckets) {
     // The bucket holds only records for exactly `cycle` (buckets are fully
-    // drained each turn of the wheel), so duplicate same-cycle wakeups of
-    // one consumer coalesce here with a short scan. Appends are in global
-    // schedule order, so the bucket stays FIFO without order stamps.
-    std::vector<WheelRecord>& bucket =
-        event_wheel_[cycle & (kEventWheelBuckets - 1)];
-    for (const WheelRecord& r : bucket) {
-      if (r.uid == uop.uid && r.kind == kind) {
-        ++events_coalesced_;
-        return;
-      }
-    }
+    // drained each turn of the wheel). Appends are in global schedule
+    // order, so the bucket stays FIFO without order stamps.
     event_order_++;  // stamp consumed, mirroring the reference model
     ++wheel_pending_;
-    bucket.push_back(WheelRecord{.uid = uop.uid,
-                                 .rob_slot = rob_slot,
-                                 .tid = static_cast<std::int16_t>(uop.tid),
-                                 .kind = kind});
+    event_wheel_[cycle & (kEventWheelBuckets - 1)].push_back(
+        WheelRecord{.uid = uop.uid,
+                    .rob_slot = rob_slot,
+                    .tid = static_cast<std::int16_t>(uop.tid),
+                    .kind = kind});
   } else {
     event_overflow_.push(Event{.cycle = cycle,
                                .order = event_order_++,

@@ -38,14 +38,12 @@ class Simulator {
   /// bit-identical SimStats.
   enum class IssueModel : std::uint8_t { kWakeup = 0, kScanReference };
 
-  /// Event-queue implementation. kCoalescedWheel (default) drains compact
-  /// 16-byte per-cycle wheel records and merges duplicate same-cycle
-  /// wakeups of one consumer at schedule time; kHeapReference is the
-  /// original single global priority queue, retained as the differential
-  /// oracle — both must produce bit-identical SimStats (see
-  /// tests/event_queue_test.cc, the queue-level analogue of
-  /// IssueModel::kScanReference).
-  enum class EventModel : std::uint8_t { kCoalescedWheel = 0, kHeapReference };
+  /// Event-queue implementation. kWheel (default) drains compact 16-byte
+  /// per-cycle wheel records; kHeapReference is the original single global
+  /// priority queue, retained as the differential oracle — both must
+  /// produce bit-identical SimStats (see tests/event_queue_test.cc, the
+  /// queue-level analogue of IssueModel::kScanReference).
+  enum class EventModel : std::uint8_t { kWheel = 0, kHeapReference };
 
   explicit Simulator(const SimConfig& config);
 
@@ -57,11 +55,6 @@ class Simulator {
   void set_event_model(EventModel model) noexcept { event_model_ = model; }
   [[nodiscard]] EventModel event_model() const noexcept {
     return event_model_;
-  }
-  /// Duplicate wakeups merged by the coalescing wheel (0 in the current
-  /// model — the differential test pins that merging is behaviour-free).
-  [[nodiscard]] std::uint64_t events_coalesced() const noexcept {
-    return events_coalesced_;
   }
 
   /// Quiescent-cycle skip-ahead telemetry (SimConfig::skip_ahead). These
@@ -204,7 +197,6 @@ class Simulator {
     memory::MobStats mob;
     std::uint64_t blocked_epoch = 0;
     std::uint64_t event_order = 0;
-    std::uint64_t events_coalesced = 0;
     std::uint64_t select_fingerprint = 0;
     Cycle last_commit_cycle = 0;
     bool rf_blocked[kMaxThreads][kNumRegClasses] = {};
@@ -444,8 +436,7 @@ class Simulator {
   bool rf_blocked_flags_[kMaxThreads][kNumRegClasses] = {};
   int outstanding_l2_[kMaxThreads] = {};
   IssueModel issue_model_ = IssueModel::kWakeup;
-  EventModel event_model_ = EventModel::kCoalescedWheel;
-  std::uint64_t events_coalesced_ = 0;
+  EventModel event_model_ = EventModel::kWheel;
   ThreadId commit_rr_ = 0;
   Cycle last_commit_cycle_ = 0;
   CommitHook commit_hook_;

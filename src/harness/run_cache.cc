@@ -82,11 +82,6 @@ RunResult RunCache::get_or_run(const RunKey& key,
   return future.get();
 }
 
-bool RunCache::contains(const RunKey& key) const {
-  std::lock_guard lock(mutex_);
-  return entries_.contains(key);
-}
-
 void RunCache::set_store_dir(const std::string& dir) {
   std::lock_guard lock(mutex_);
   store_ = dir.empty() ? nullptr : std::make_shared<const RunStore>(dir);

@@ -7,7 +7,8 @@
 // Attaching a RunStore (set_store_dir) adds a disk tier: a memory miss
 // first tries to load the cell's persisted record, and freshly computed
 // cells are spilled back, so identical cells are simulated at most once
-// across *processes* sharing the cache directory.
+// across *processes* sharing the cache directory, or across hosts whose
+// directories are later unioned with merge_run_store.
 #pragma once
 
 #include <atomic>
@@ -43,11 +44,6 @@ class RunCache {
   /// propagates to every waiter.
   [[nodiscard]] RunResult get_or_run(
       const RunKey& key, const std::function<RunResult()>& compute);
-
-  /// True when `key` has an in-memory entry (finished or in-flight). Used
-  /// by the shard coordinator to skip spooling cells this process already
-  /// owns; a false answer may still be a disk hit.
-  [[nodiscard]] bool contains(const RunKey& key) const;
 
   /// Attaches (or, with an empty dir, detaches) the disk tier. Safe to call
   /// concurrently with get_or_run; in-flight owners keep the store they
@@ -104,8 +100,8 @@ class RunCache {
 };
 
 /// The single-thread workload a fairness baseline of `trace` runs as. The
-/// ONE place baseline workloads are shaped — baseline_key/baseline_run and
-/// the shard coordinator's spooled baseline cells all build it here, so
+/// ONE place baseline workloads are shaped — baseline_key, baseline_run
+/// and the end-to-end benchmark's baseline cells all build it here, so
 /// their keys agree by construction.
 [[nodiscard]] trace::WorkloadSpec baseline_workload(
     const trace::TraceSpec& trace);

@@ -284,11 +284,21 @@ GcResult gc_run_store(const std::string& dir, const GcOptions& options) {
     fs::file_time_type mtime;
   };
   std::vector<Record> records;
+  std::vector<fs::path> orphans;
+  const fs::file_time_type orphan_cutoff =
+      fs::file_time_type::clock::now() - kOrphanTempAge;
   for (fs::recursive_directory_iterator it(dir, ec), end; !ec && it != end;
        it.increment(ec)) {
-    if (!it->is_regular_file(ec) || it->path().extension() != ".run") {
+    if (!it->is_regular_file(ec)) continue;
+    if (it->path().filename().string().find(".run.tmp.") !=
+        std::string::npos) {
+      // A writer's temp file; only a crash leaves one this old.
+      std::error_code time_ec;
+      const auto mtime = fs::last_write_time(it->path(), time_ec);
+      if (!time_ec && mtime < orphan_cutoff) orphans.push_back(it->path());
       continue;
     }
+    if (it->path().extension() != ".run") continue;
     // A record can vanish between iteration and stat (concurrent GC or a
     // writer replacing it): skip it rather than record file_size's
     // uintmax_t(-1) error sentinel as ~16 EB of store.
@@ -328,7 +338,16 @@ GcResult gc_run_store(const std::string& dir, const GcOptions& options) {
     live_bytes -= record.bytes;
   }
 
-  if (!options.dry_run && result.deleted_files > 0) {
+  for (const fs::path& orphan : orphans) {
+    if (!options.dry_run) {
+      fs::remove(orphan, ec);
+      if (ec) continue;
+    }
+    ++result.deleted_temp_files;
+  }
+
+  if (!options.dry_run &&
+      result.deleted_files + result.deleted_temp_files > 0) {
     // Prune key-prefix subdirectories the sweep emptied (never the root).
     for (fs::directory_iterator it(dir, ec), end; !ec && it != end;
          it.increment(ec)) {

@@ -2,8 +2,8 @@
 // compact, versioned binary records under a cache directory, keyed by
 // their 128-bit RunKey. A record survives the process, so repeated bench
 // invocations (figure regeneration, CI golden runs) reuse each other's
-// simulations — and the record is the wire format for farming cells to
-// other processes/hosts.
+// simulations — and stores filled on different hosts merge into one
+// (merge_run_store).
 //
 // Layout: <dir>/<hi-byte-of-key>/<032-hex-key>.run, one cell per file,
 // written atomically (common/fsio.h) so concurrent writers and killed
@@ -14,6 +14,7 @@
 // wrong result.
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -49,10 +50,17 @@ struct GcOptions {
 struct GcResult {
   std::uint64_t scanned_files = 0;
   std::uint64_t scanned_bytes = 0;
-  std::uint64_t deleted_files = 0;  // dry runs count would-be deletions
+  std::uint64_t deleted_files = 0;       // dry runs count would-be deletions
   std::uint64_t deleted_bytes = 0;
-  std::uint64_t removed_dirs = 0;   // emptied key-prefix subdirectories
+  std::uint64_t deleted_temp_files = 0;  // orphaned writer temps, ditto
+  std::uint64_t removed_dirs = 0;        // emptied key-prefix subdirectories
 };
+
+/// Age past which gc_run_store deletes a writer's temp file
+/// (`<key>.run.tmp.<pid>.<n>`, common/fsio.h). A live writer holds one for
+/// milliseconds; an older one was orphaned by a crash between fsync and
+/// rename, and nothing else ever deletes it.
+inline constexpr std::chrono::hours kOrphanTempAge{1};
 
 /// Options for merge_run_store. A dry run reports what a merge would do
 /// without writing anything.
@@ -69,12 +77,13 @@ struct MergeResult {
   std::uint64_t invalid = 0;    // failed key/checksum validation: skipped
 };
 
-/// Unions `from` into `into` (the scatter-gather merge for workers that
-/// filled private cache dirs): every valid source record absent from the
-/// destination is copied atomically; records already present are compared
-/// byte-for-byte and skipped, with byte-level disagreement counted as a
-/// conflict (the destination record wins — records are content-keyed, so a
-/// conflict means corruption or a stale format, never two valid answers).
+/// Unions `from` into `into` (the gather step of a sweep split across
+/// hosts, each filling its own cache dir): every valid source record
+/// absent from the destination is copied atomically; records already
+/// present are compared byte-for-byte and skipped, with byte-level
+/// disagreement counted as a conflict (the destination record wins —
+/// records are content-keyed, so a conflict means corruption or a stale
+/// format, never two valid answers).
 /// Source records whose embedded key or checksum fails validation are
 /// skipped as invalid rather than propagated.
 [[nodiscard]] MergeResult merge_run_store(const std::string& into,
@@ -96,9 +105,10 @@ struct MergeResult {
 /// Size/count-capped LRU sweep over a run-store directory: scans every
 /// `*.run` record, and while the store exceeds `max_bytes`/`max_files`
 /// deletes records oldest-mtime-first (a record's mtime is its last write;
-/// readers that want LRU-by-use can touch records on load). Emptied
-/// prefix subdirectories are pruned. A missing directory is an empty
-/// store. Never deletes anything that is not a `.run` record.
+/// readers that want LRU-by-use can touch records on load). Writer temp
+/// files (`*.run.tmp.*`) older than kOrphanTempAge are deleted whatever the
+/// caps. Emptied prefix subdirectories are pruned. A missing directory is
+/// an empty store. Never deletes anything else.
 [[nodiscard]] GcResult gc_run_store(const std::string& dir,
                                     const GcOptions& options);
 

@@ -99,13 +99,6 @@ SweepResult run_sweep(const SweepSpec& spec) {
   out.cycles = spec.cycles;
   out.warmup = spec.warmup;
 
-  // Distributed mode: fill the store with every miss first (worker swarm),
-  // so the in-process pass below runs entirely warm. Same requests, same
-  // assembly, same bytes — only who simulated differs.
-  if (spec.shard.workers > 0) {
-    (void)shard_prefetch(spec, out.points);
-  }
-
   RunCache& cache = spec.cache != nullptr ? *spec.cache : RunCache::instance();
   const std::uint64_t hits_before = cache.hits();
   const std::uint64_t misses_before = cache.misses();

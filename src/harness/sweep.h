@@ -14,6 +14,13 @@
 // a knob sweep that revisits the default value, fairness baselines common
 // to every grid point — are simulated exactly once per process.
 //
+// With a RunStore attached, a cell's key does not depend on which suite or
+// sweep requested it, so a grid splits across hosts without any protocol:
+// each host sweeps a slice of the suite into its own store, the stores are
+// unioned (merge_run_store, tools/store_merge), and a full sweep over the
+// union simulates nothing. A crashed sweep is resumed the same way: rerun
+// it, and only the cells whose records never landed are simulated.
+//
 // Determinism: a cell's result depends only on its (config, workload,
 // cycles, warmup) spec — the simulator draws all randomness from the
 // workload's own seeds — so the same SweepSpec yields bit-identical tables
@@ -29,7 +36,6 @@
 #include "core/config.h"
 #include "harness/run_cache.h"
 #include "harness/runner.h"
-#include "harness/shard.h"
 #include "trace/workload.h"
 
 namespace clusmt::harness {
@@ -88,15 +94,8 @@ struct SweepSpec {
   /// cache) and fill RunResult::fairness for every cell.
   bool with_fairness = false;
 
-  /// Host worker threads; 0 = all cores (or $CLUSMT_JOBS when set — the
-  /// coordinator exports it so spawned workers never oversubscribe).
+  /// Host worker threads; 0 = all cores.
   std::size_t jobs = 0;
-
-  /// Distributed execution (harness/shard.h): with shard.workers > 0 the
-  /// cache-miss cells are farmed to sweep_worker processes through a spool
-  /// directory before the (then fully warm) in-process assembly below —
-  /// tables are bit-identical for any worker count.
-  ShardSpec shard;
 
   /// Print per-point completion and a cache summary to stderr.
   bool progress = true;

@@ -1,31 +1,29 @@
-// Chaos-hardening of the distributed sweep/store/spool stack
-// (common/faultpoint.h): multi-worker sharded sweeps run under randomized
-// fault schedules — worker crashes after claim and before ack, injected
-// simulation failures, torn store writes, read errors, spawn failures —
-// and the resulting tables must be BYTE-identical to a fault-free run,
-// with the shared store exactly-once-effective (one valid record per cell,
-// byte-identical to the fault-free record). Also covers the full-disk
-// degradation of the run store to a memory-only tier, and the
-// --degrade-local rescue of a swarm that cannot spawn.
-//
-// Worker-side faults are armed through $CLUSMT_FAULTS (inherited by the
-// spawned sweep_worker processes); coordinator-side faults are armed
-// programmatically — crash-mode points only ever fire in workers because
-// the coordinator never claims or acks.
+// Chaos hardening of the run store (common/faultpoint.h). Sweeps run under
+// fixed-seed store fault schedules — torn and ENOSPC writes, read and save
+// errors, a crash between fsync and rename — and must still emit tables
+// byte-identical to a fault-free in-process run:
+//   - the multi-host recipe: suite slices swept into separate stores under
+//     faults, merged with merge_run_store, then one full sweep over the
+//     union, which heals the store so a second full sweep simulates nothing;
+//   - crash recovery: a sweep killed mid-flight is resumed by rerunning it,
+//     which simulates only the cells whose records never landed, and
+//     gc_run_store deletes the temp file the crash orphaned;
+//   - a full disk: the store degrades to a memory-only tier.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <map>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "common/faultpoint.h"
 #include "harness/presets.h"
 #include "harness/run_cache.h"
-#include "harness/shard.h"
+#include "harness/run_store.h"
 #include "harness/sweep.h"
 #include "trace/workload.h"
 
@@ -41,22 +39,25 @@ const std::string g_ambient_faults = [] {
   return env != nullptr ? std::string(env) : std::string();
 }();
 
+/// Neutralizes any ambient schedule (e.g. the CI smoke arming): every test
+/// arms exactly the faults it wants, and the fault-free reference runs must
+/// really be fault-free.
+void disarm_everything() {
+  faultpoint::disarm_all();
+  ::unsetenv("CLUSMT_FAULTS");
+}
+
 class ChaosTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    // Neutralize any ambient schedule (e.g. the CI smoke arming): every
-    // test arms exactly the faults it wants, and the fault-free reference
-    // runs must really be fault-free.
-    faultpoint::disarm_all();
-    ::unsetenv("CLUSMT_FAULTS");
+    disarm_everything();
     std::string tmpl =
         (fs::temp_directory_path() / "clusmt_chaos_XXXXXX").string();
     ASSERT_NE(::mkdtemp(tmpl.data()), nullptr);
     dir_ = tmpl;
   }
   void TearDown() override {
-    faultpoint::disarm_all();
-    ::unsetenv("CLUSMT_FAULTS");
+    disarm_everything();
     std::error_code ec;
     fs::remove_all(dir_, ec);
   }
@@ -68,15 +69,33 @@ class ChaosTest : public ::testing::Test {
   std::string dir_;
 };
 
-/// Same small grid as shard_test: 2 schemes x 3 workloads with fairness
-/// baselines — grid cells, dedup, and baseline spooling, kept quick.
-SweepSpec small_spec() {
+/// One .ilp., one .mem. and one .mix. workload. The mix pairs the first
+/// ILP and MEM traces, so its fairness baselines are also baselines of the
+/// other two slices.
+std::vector<trace::WorkloadSpec> chaos_suite() {
+  std::vector<trace::WorkloadSpec> suite = trace::build_quick_suite(1, 1, 0);
+  suite.resize(3);
+  return suite;
+}
+
+/// The workloads of `suite` whose name contains `sub`, as --filter keeps.
+std::vector<trace::WorkloadSpec> slice(std::vector<trace::WorkloadSpec> suite,
+                                       const std::string& sub) {
+  std::erase_if(suite, [&](const trace::WorkloadSpec& w) {
+    return w.name.find(sub) == std::string::npos;
+  });
+  return suite;
+}
+
+/// 2 schemes x `suite` with fairness baselines, kept quick. One host
+/// thread runs the cells in queue order, so a fixed-seed schedule hits the
+/// same cells in every run.
+SweepSpec chaos_spec(std::vector<trace::WorkloadSpec> suite) {
   SweepSpec spec;
-  spec.suite = trace::build_quick_suite(1, 1, 2);
-  spec.suite.resize(3);
+  spec.suite = std::move(suite);
   spec.cycles = 1500;
   spec.warmup = 300;
-  spec.jobs = 2;
+  spec.jobs = 1;
   spec.with_fairness = true;
   spec.progress = false;
   spec.base = paper_baseline();
@@ -89,6 +108,15 @@ SweepSpec small_spec() {
                     c.policy = policy::PolicyKind::kCdprf;
                   }}}}};
   return spec;
+}
+
+/// Sweeps `spec` through a fresh cache over `store` ("" = memory only), as
+/// a separate bench invocation would.
+SweepResult sweep_into(SweepSpec spec, const std::string& store) {
+  RunCache cache;
+  cache.set_store_dir(store);
+  spec.cache = &cache;
+  return run_sweep(spec);
 }
 
 /// The emitted artifact bytes, as a bench would write them.
@@ -111,9 +139,8 @@ std::string render_json(const SweepResult& result) {
   return category_table(result.suite, series, 6).to_json();
 }
 
-/// Every .run record under `dir`, keyed by store-relative path. Orphan
-/// temp files from injected crashes are deliberately not collected: they
-/// are invisible to readers, which is the point of atomic writes.
+/// Every .run record under `dir`, keyed by store-relative path. Writer temp
+/// files are not records: atomic writes keep them invisible to readers.
 std::map<std::string, std::string> store_records(const std::string& dir) {
   std::map<std::string, std::string> out;
   std::error_code ec;
@@ -133,94 +160,157 @@ std::map<std::string, std::string> store_records(const std::string& dir) {
   return out;
 }
 
-// The acceptance-criterion test: >= 2 workers, >= 6 distinct fault points
-// across worker and coordinator processes, randomized per-round schedules,
-// and byte-identical artifacts + store against a fault-free reference.
-TEST_F(ChaosTest, ShardedSweepUnderFaultScheduleMatchesFaultFreeRun) {
+/// Writer temp files (`<key>.run.tmp.<pid>.<n>`) under `dir`.
+std::vector<fs::path> temp_files(const std::string& dir) {
+  std::vector<fs::path> out;
+  std::error_code ec;
+  for (fs::recursive_directory_iterator it(dir, ec), end; !ec && it != end;
+       it.increment(ec)) {
+    if (it->path().filename().string().find(".run.tmp.") !=
+        std::string::npos) {
+      out.push_back(it->path());
+    }
+  }
+  return out;
+}
+
+TEST_F(ChaosTest, SlicedSweepsUnderStoreFaultsMergeToFaultFreeTables) {
   // Fault-free reference: the table bytes and the exact store records.
-  SweepSpec ref_spec = small_spec();
-  RunCache ref_cache;
-  ref_cache.set_store_dir(subdir("store-ref"));
-  ref_spec.cache = &ref_cache;
-  const SweepResult reference = run_sweep(ref_spec);
+  const SweepResult reference =
+      sweep_into(chaos_spec(chaos_suite()), subdir("store-ref"));
   const std::string ref_csv = render_csv(reference);
   const std::string ref_json = render_json(reference);
   const auto ref_records = store_records(subdir("store-ref"));
   ASSERT_FALSE(ref_records.empty());
 
-  for (int round = 0; round < 2; ++round) {
-    SCOPED_TRACE("chaos round " + std::to_string(round));
-    const std::string tag = std::to_string(round);
-    const std::string seed = std::to_string(100 + round);
-
-    // Worker-side schedule, inherited via the environment by every
-    // sweep_worker the coordinator spawns. Crash points land in the
-    // claim->ack window; the rest are error/torn-write/read faults whose
-    // worst case is a recompute.
-    const std::string worker_schedule =
-        "spool.claim:crash:0.04:" + seed +
-        ";spool.ack:crash:0.04:" + seed +
-        ";worker.sim:error:0.08:" + seed +
-        ";fsio.write:partial:0.05:" + seed +
-        ";run_store.load:error:0.1:" + seed;
-    ASSERT_EQ(::setenv("CLUSMT_FAULTS", worker_schedule.c_str(), 1), 0);
-    // The coordinator process must not run the worker schedule: clear
-    // everything (this also forces the env parse, making the clear stick
-    // for this process) and arm coordinator-side faults explicitly.
+  // One host per slice, each with its own store and its own schedule. A
+  // point takes one mode at a time, so torn and ENOSPC writes alternate
+  // between slices.
+  const std::vector<std::pair<std::string, std::string>> slices = {
+      {".ilp.", "fsio.write:partial:0.3:1;run_store.load:error:0.3:1"},
+      {".mem.", "fsio.write:enospc:0.3:2;run_store.save:error:0.2:2"},
+      {".mix.",
+       "fsio.write:partial:0.3:4;run_store.save:error:0.2:4;"
+       "run_store.load:error:0.3:4"},
+  };
+  std::uint64_t fires = 0;
+  std::vector<std::string> slice_stores;
+  for (const auto& [filter, schedule] : slices) {
+    SCOPED_TRACE("slice " + filter);
+    const std::vector<trace::WorkloadSpec> part = slice(chaos_suite(), filter);
+    ASSERT_EQ(part.size(), 1u);
+    slice_stores.push_back(subdir("store" + filter));
+    ASSERT_TRUE(faultpoint::arm_from_spec(schedule));
+    (void)sweep_into(chaos_spec(part), slice_stores.back());
+    fires += faultpoint::total_fires();
     faultpoint::disarm_all();
-    faultpoint::arm("shard.spawn",
-                    {faultpoint::Mode::kError, 1.0,
-                     static_cast<std::uint64_t>(round), /*max_fires=*/1, 20});
-    faultpoint::arm("run_store.load", faultpoint::Mode::kError, 0.15,
-                    static_cast<std::uint64_t>(round));
-
-    RunCache cache;
-    cache.set_store_dir(subdir("store-" + tag));
-    SweepSpec spec = small_spec();
-    spec.cache = &cache;
-    spec.shard.workers = 2;
-    spec.shard.spool_dir = subdir("spool-" + tag);
-    spec.shard.max_attempts = 8;
-    spec.shard.lease_ms = 600;
-    spec.shard.idle_timeout_ms = 4000;
-    spec.shard.degrade_local = true;  // liveness backstop: never hang CI
-    const SweepResult result = run_sweep(spec);
-
-    // The armed spawn fault deterministically ate the first spawn attempt.
-    EXPECT_EQ(faultpoint::fires("shard.spawn"), 1u);
-    faultpoint::disarm_all();
-    ::unsetenv("CLUSMT_FAULTS");
-
-    // Tables byte-identical to the fault-free run.
-    EXPECT_EQ(render_csv(result), ref_csv);
-    EXPECT_EQ(render_json(result), ref_json);
-
-    // Store exactly-once-effective: exactly one record per cell, each
-    // byte-identical to the fault-free record (duplicate executions and
-    // torn writes must never leave a second or different version).
-    const auto records = store_records(subdir("store-" + tag));
-    EXPECT_EQ(records.size(), ref_records.size());
-    for (const auto& [rel, bytes] : ref_records) {
-      const auto it = records.find(rel);
-      ASSERT_NE(it, records.end()) << "missing record " << rel;
-      EXPECT_EQ(it->second, bytes) << "record bytes differ: " << rel;
-    }
   }
+  EXPECT_GT(fires, 0u) << "the schedules must actually inject faults";
+
+  MergeResult merged;
+  for (const std::string& from : slice_stores) {
+    const MergeResult r = merge_run_store(subdir("merged"), from);
+    merged.copied += r.copied;
+    merged.identical += r.identical;
+    merged.conflicts += r.conflicts;
+    merged.invalid += r.invalid;
+  }
+  EXPECT_GT(merged.copied, 0u);
+  EXPECT_GT(merged.identical, 0u) << "mix baselines recur in other slices";
+  EXPECT_GT(merged.invalid, 0u) << "torn records are dropped, not merged";
+  EXPECT_EQ(merged.conflicts, 0u) << "valid records of a key agree";
+
+  // The full sweep over the union simulates what the faults cost (torn,
+  // unsaved and unread cells), even with reads still failing now and then,
+  // and its tables match the fault-free run.
+  faultpoint::arm("run_store.load", faultpoint::Mode::kError, 0.2, 14);
+  const SweepResult full =
+      sweep_into(chaos_spec(chaos_suite()), subdir("merged"));
+  faultpoint::disarm_all();
+  EXPECT_GT(full.cache_disk_hits, 0u);
+  EXPECT_EQ(render_csv(full), ref_csv);
+  EXPECT_EQ(render_json(full), ref_json);
+
+  // That sweep healed the store: one record per cell, each byte-identical
+  // to the fault-free record, so the next sweep simulates nothing.
+  EXPECT_EQ(store_records(subdir("merged")), ref_records);
+  const SweepResult warm =
+      sweep_into(chaos_spec(chaos_suite()), subdir("merged"));
+  EXPECT_EQ(warm.cache_misses, 0u);
+  EXPECT_EQ(render_csv(warm), ref_csv);
+  EXPECT_EQ(render_json(warm), ref_json);
+}
+
+/// Store of the crash test. A threadsafe death test re-executes this binary
+/// for its child, which replays the test body up to EXPECT_EXIT, so the
+/// path cannot come from a per-process mkdtemp. Parent and child share a
+/// process group, so both derive the path from its id.
+std::string crash_store_dir() {
+  return (fs::temp_directory_path() /
+          ("clusmt_chaos_crash_" + std::to_string(::getpgrp())))
+      .string();
+}
+
+TEST(ChaosCrashTest, CrashedSweepIsRecoveredByRerunningIt) {
+  // The sweep starts a thread pool. The threadsafe style re-executes the
+  // binary for the child instead of forking a process that may hold
+  // threads.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  disarm_everything();
+  const std::string store = crash_store_dir();
+  std::error_code ec;
+  fs::remove_all(store, ec);
+
+  // Runs in the child only; the seed puts the crash mid-sweep.
+  EXPECT_EXIT(
+      {
+        faultpoint::arm("fsio.rename", faultpoint::Mode::kCrash, 0.15, 4);
+        (void)sweep_into(chaos_spec(chaos_suite()), store);
+      },
+      ::testing::ExitedWithCode(faultpoint::kCrashExitCode), "");
+
+  const SweepResult reference = sweep_into(chaos_spec(chaos_suite()), "");
+  const std::uint64_t cells = reference.cache_misses;
+  const std::size_t saved = store_records(store).size();
+  const std::vector<fs::path> orphans = temp_files(store);
+  EXPECT_GT(saved, 0u) << "the crash came before any record landed";
+  EXPECT_LT(saved, cells) << "the sweep finished before the crash";
+  EXPECT_GE(orphans.size(), 1u) << "the crashed write leaves its temp file";
+
+  // Recovery is rerunning the same sweep: only the missing cells are
+  // simulated, and the tables match the uninterrupted run.
+  const SweepResult rerun = sweep_into(chaos_spec(chaos_suite()), store);
+  EXPECT_EQ(rerun.cache_disk_hits, saved);
+  EXPECT_EQ(rerun.cache_misses, cells - saved);
+  EXPECT_EQ(render_csv(rerun), render_csv(reference));
+  EXPECT_EQ(render_json(rerun), render_json(reference));
+
+  // A fresh temp file may belong to a live writer, so GC keeps it; once it
+  // is older than kOrphanTempAge it is an orphan and goes.
+  EXPECT_EQ(gc_run_store(store, {}).deleted_temp_files, 0u);
+  for (const fs::path& orphan : orphans) {
+    fs::last_write_time(orphan, fs::file_time_type::clock::now() -
+                                    2 * kOrphanTempAge);
+  }
+  const GcResult gc = gc_run_store(store, {});
+  EXPECT_EQ(gc.deleted_temp_files, orphans.size());
+  EXPECT_EQ(gc.deleted_files, 0u);
+  EXPECT_EQ(gc.scanned_files, cells);
+  EXPECT_TRUE(temp_files(store).empty());
+  fs::remove_all(store, ec);
 }
 
 TEST_F(ChaosTest, FullDiskStoreDegradesToMemoryOnlyWithWarning) {
   // Every save fails (the disk is "full" from the first write): the sweep
   // must complete with correct numbers, warn once, and demote the store to
   // memory-only instead of aborting or warning per cell.
-  SweepSpec ref_spec = small_spec();
-  RunCache ref_cache;  // no store attached: pure in-memory reference
-  ref_spec.cache = &ref_cache;
-  const std::string ref_csv = render_csv(run_sweep(ref_spec));
+  const std::string ref_csv =
+      render_csv(sweep_into(chaos_spec(chaos_suite()), ""));
 
   faultpoint::arm("run_store.save", faultpoint::Mode::kError);
   RunCache cache;
   cache.set_store_dir(subdir("store"));
-  SweepSpec spec = small_spec();
+  SweepSpec spec = chaos_spec(chaos_suite());
   spec.cache = &cache;
   ::testing::internal::CaptureStderr();
   const SweepResult result = run_sweep(spec);
@@ -239,46 +329,6 @@ TEST_F(ChaosTest, FullDiskStoreDegradesToMemoryOnlyWithWarning) {
   // Re-attaching a (healthy) store clears the degradation.
   cache.set_store_dir(subdir("store2"));
   EXPECT_FALSE(cache.store_write_degraded());
-}
-
-TEST_F(ChaosTest, SpawnFailuresDegradeToLocalWhenRequested) {
-  SweepSpec ref_spec = small_spec();
-  RunCache ref_cache;
-  ref_spec.cache = &ref_cache;
-  const std::string ref_csv = render_csv(run_sweep(ref_spec));
-
-  // Default (degrade_local off): an unspawnable worker binary aborts.
-  {
-    RunCache cache;
-    cache.set_store_dir(subdir("store-abort"));
-    SweepSpec spec = small_spec();
-    spec.cache = &cache;
-    spec.shard.workers = 2;
-    spec.shard.spool_dir = subdir("spool-abort");
-    spec.shard.worker_bin = subdir("no-such-binary");
-    EXPECT_THROW((void)run_sweep(spec), std::runtime_error);
-  }
-
-  // degrade_local: the same dead swarm falls back to in-process
-  // simulation and the sweep completes bit-identically.
-  {
-    RunCache cache;
-    cache.set_store_dir(subdir("store-degrade"));
-    SweepSpec spec = small_spec();
-    spec.cache = &cache;
-    spec.shard.workers = 2;
-    spec.shard.spool_dir = subdir("spool-degrade");
-    spec.shard.worker_bin = subdir("no-such-binary");
-    spec.shard.degrade_local = true;
-    const ShardStats stats = shard_prefetch(spec, spec.expand_points());
-    EXPECT_GT(stats.simulated_locally, 0u);
-    EXPECT_EQ(stats.simulated_locally, stats.spooled);
-    EXPECT_EQ(stats.workers_spawned, 0);
-
-    const SweepResult result = run_sweep(spec);  // fully warm now
-    EXPECT_EQ(result.cache_misses, 0u);
-    EXPECT_EQ(render_csv(result), ref_csv);
-  }
 }
 
 // CI smoke hook: when the job exports an ambient CLUSMT_FAULTS (the ASan

@@ -1,12 +1,10 @@
-// Differential coverage for the coalescing event wheel: the
-// kCoalescedWheel model (16-byte per-cycle bucket records, duplicate
-// same-cycle wakeups merged at schedule time, overflow heap for events
-// beyond the wheel span) must be bit-identical to the kHeapReference
-// oracle — the original single global priority queue, which never merges
-// anything — across machines, schemes, squash-heavy traces, and a
-// main-memory latency far past the wheel span (so bucket records and
-// overflow events interleave at the same drain cycle). This is the
-// queue-level analogue of IssueModel::kScanReference.
+// Differential coverage for the event wheel: the kWheel model (16-byte
+// per-cycle bucket records, overflow heap for events beyond the wheel
+// span) must be bit-identical to the kHeapReference oracle — the original
+// single global priority queue — across machines, schemes, squash-heavy
+// traces, and a main-memory latency far past the wheel span (so bucket
+// records and overflow events interleave at the same drain cycle). This is
+// the queue-level analogue of IssueModel::kScanReference.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -79,14 +77,9 @@ std::vector<trace::TraceSpec> make_threads(int num_threads, bool squash_heavy,
   return threads;
 }
 
-struct RunOutcome {
-  SimStats stats;
-  std::uint64_t coalesced = 0;
-};
-
-RunOutcome run_once(const SimConfig& config, Simulator::EventModel model,
-                    const std::vector<trace::TraceSpec>& threads, Cycle warmup,
-                    Cycle cycles) {
+SimStats run_once(const SimConfig& config, Simulator::EventModel model,
+                  const std::vector<trace::TraceSpec>& threads, Cycle warmup,
+                  Cycle cycles) {
   Simulator sim(config);
   sim.set_event_model(model);
   for (std::size_t t = 0; t < threads.size(); ++t) {
@@ -99,7 +92,7 @@ RunOutcome run_once(const SimConfig& config, Simulator::EventModel model,
   for (int c = 0; c < config.num_clusters; ++c) {
     EXPECT_TRUE(sim.cluster(c).iq().validate());
   }
-  return {sim.stats(), sim.events_coalesced()};
+  return sim.stats();
 }
 
 TEST(EventQueueDifferential, WheelMatchesHeapReferenceAcrossGrid) {
@@ -133,20 +126,13 @@ TEST(EventQueueDifferential, WheelMatchesHeapReferenceAcrossGrid) {
             std::string(machine.name) + "/" +
             std::string(policy::policy_kind_name(scheme)) +
             (squash_heavy ? "/squash-heavy" : "/plain");
-        const RunOutcome wheel =
-            run_once(config, Simulator::EventModel::kCoalescedWheel, threads,
+        const SimStats wheel =
+            run_once(config, Simulator::EventModel::kWheel, threads,
                      /*warmup=*/1000, /*cycles=*/5000);
-        const RunOutcome reference =
+        const SimStats reference =
             run_once(config, Simulator::EventModel::kHeapReference, threads,
                      /*warmup=*/1000, /*cycles=*/5000);
-        expect_stats_equal(wheel.stats, reference.stats, label);
-        // The current model never schedules the same (consumer, kind) twice
-        // for one cycle, so coalescing must be behaviour-free. If this ever
-        // fires, a producer started double-scheduling — and the stats
-        // comparison above proves the merge still preserved behaviour.
-        EXPECT_EQ(wheel.coalesced, 0u) << label;
-        EXPECT_EQ(reference.coalesced, 0u)
-            << label << ": the reference heap must never merge";
+        expect_stats_equal(wheel, reference, label);
       }
     }
   }
@@ -158,12 +144,12 @@ TEST(EventQueueDifferential, OverflowPathActuallyExercised) {
   SimConfig config = harness::rf_study_config(64);
   config.memory.memory_latency = 1500;
   const auto threads = make_threads(2, /*squash_heavy=*/false, /*seed=*/7);
-  const RunOutcome out =
-      run_once(config, Simulator::EventModel::kCoalescedWheel, threads,
+  const SimStats stats =
+      run_once(config, Simulator::EventModel::kWheel, threads,
                /*warmup=*/1000, /*cycles=*/20000);
-  EXPECT_GT(out.stats.load_l2_misses, 0u)
+  EXPECT_GT(stats.load_l2_misses, 0u)
       << "no L2 misses: the overflow heap was never used";
-  EXPECT_GT(out.stats.committed_loads, 0u);
+  EXPECT_GT(stats.committed_loads, 0u);
 }
 
 }  // namespace

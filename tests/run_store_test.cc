@@ -1,7 +1,8 @@
 // Persistence tier of the run cache: record round-trips, cross-instance
 // ("cross-process") reuse through a shared directory, corruption and
-// version-bump fallback to recompute, concurrent writers, and the
-// sweep-level zero-simulation guarantee on a warm cache dir.
+// version-bump fallback to recompute, concurrent writers, the sweep-level
+// zero-simulation guarantee on a warm cache dir, merging stores filled on
+// separate hosts, and garbage collection.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -60,6 +61,12 @@ RunResult sample_result(double salt) {
   r.throughput = 2.0 + salt;
   r.fairness = 0.9;
   return r;
+}
+
+std::string read_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
 }
 
 void expect_equal(const RunResult& a, const RunResult& b) {
@@ -275,12 +282,7 @@ TEST_F(RunStoreTest, EnospcSaveFailsCleanlyAndKeepsThePriorRecord) {
   const RunKey key{21, 42};
   const RunStore store(dir_);
   ASSERT_TRUE(store.save(key, sample_result(0.0)));
-  const std::string before =
-      [&] {
-        std::ifstream in(store.path_of(key), std::ios::binary);
-        return std::string((std::istreambuf_iterator<char>(in)),
-                           std::istreambuf_iterator<char>());
-      }();
+  const std::string before = read_bytes(store.path_of(key));
 
   // The disk fills mid-write: the save reports failure, the temp file is
   // cleaned up, and the previously persisted record is untouched.
@@ -288,10 +290,8 @@ TEST_F(RunStoreTest, EnospcSaveFailsCleanlyAndKeepsThePriorRecord) {
   EXPECT_FALSE(store.save(key, sample_result(9.0)));
   faultpoint::disarm_all();
 
-  std::ifstream in(store.path_of(key), std::ios::binary);
-  const std::string after((std::istreambuf_iterator<char>(in)),
-                          std::istreambuf_iterator<char>());
-  EXPECT_EQ(after, before) << "a failed write must leave the old record";
+  EXPECT_EQ(read_bytes(store.path_of(key)), before)
+      << "a failed write must leave the old record";
   const auto loaded = store.load(key);
   ASSERT_TRUE(loaded.has_value());
   expect_equal(sample_result(0.0), *loaded);
@@ -403,6 +403,72 @@ TEST_F(RunStoreTest, WarmCacheDirMakesSecondSweepSimulateNothing) {
   }
 }
 
+// ---- Merging stores (store_merge) ---------------------------------------
+
+TEST_F(RunStoreTest, MergeCopiesAbsentRecords) {
+  const RunStore from(dir_ + "/from");
+  for (std::uint64_t i = 0; i < 3; ++i) {
+    ASSERT_TRUE(from.save(RunKey{i << 56, i}, sample_result(0.1 * i)));
+  }
+  const MergeResult r = merge_run_store(dir_ + "/into", from.dir());
+  EXPECT_EQ(r.scanned, 3u);
+  EXPECT_EQ(r.copied, 3u);
+  EXPECT_EQ(r.identical + r.conflicts + r.invalid, 0u);
+  const RunStore into(dir_ + "/into");
+  for (std::uint64_t i = 0; i < 3; ++i) {
+    const RunKey key{i << 56, i};
+    EXPECT_EQ(read_bytes(into.path_of(key)), read_bytes(from.path_of(key)));
+  }
+}
+
+TEST_F(RunStoreTest, MergeSkipsByteIdenticalRecords) {
+  const RunStore from(dir_ + "/from");
+  const RunStore into(dir_ + "/into");
+  ASSERT_TRUE(from.save(RunKey{1, 1}, sample_result(0.0)));
+  ASSERT_TRUE(from.save(RunKey{2, 2}, sample_result(0.5)));
+  ASSERT_TRUE(into.save(RunKey{1, 1}, sample_result(0.0)));
+  const MergeResult r = merge_run_store(into.dir(), from.dir());
+  EXPECT_EQ(r.scanned, 2u);
+  EXPECT_EQ(r.copied, 1u);
+  EXPECT_EQ(r.identical, 1u);
+  EXPECT_EQ(r.conflicts, 0u);
+}
+
+TEST_F(RunStoreTest, MergeKeepsTheDestinationRecordOnConflict) {
+  const RunStore from(dir_ + "/from");
+  const RunStore into(dir_ + "/into");
+  const RunKey key{3, 3};
+  ASSERT_TRUE(from.save(key, sample_result(0.0)));
+  ASSERT_TRUE(into.save(key, sample_result(7.0)));
+  const std::string kept = read_bytes(into.path_of(key));
+  const MergeResult r = merge_run_store(into.dir(), from.dir());
+  EXPECT_EQ(r.conflicts, 1u);
+  EXPECT_EQ(r.copied, 0u);
+  EXPECT_EQ(read_bytes(into.path_of(key)), kept);
+}
+
+TEST_F(RunStoreTest, MergeDoesNotCopyATornSourceRecord) {
+  const RunStore from(dir_ + "/from");
+  const RunKey key{4, 4};
+  ASSERT_TRUE(from.save(key, sample_result(0.0)));
+  fs::resize_file(from.path_of(key), fs::file_size(from.path_of(key)) / 2);
+  const MergeResult r = merge_run_store(dir_ + "/into", from.dir());
+  EXPECT_EQ(r.scanned, 1u);
+  EXPECT_EQ(r.invalid, 1u);
+  EXPECT_EQ(r.copied, 0u);
+  EXPECT_FALSE(fs::exists(RunStore(dir_ + "/into").path_of(key)));
+}
+
+TEST_F(RunStoreTest, MergeDryRunWritesNothing) {
+  const RunStore from(dir_ + "/from");
+  ASSERT_TRUE(from.save(RunKey{5, 5}, sample_result(0.0)));
+  ASSERT_TRUE(from.save(RunKey{6, 6}, sample_result(0.0)));
+  const MergeResult r =
+      merge_run_store(dir_ + "/into", from.dir(), {.dry_run = true});
+  EXPECT_EQ(r.copied, 2u) << "a dry run counts would-be copies";
+  EXPECT_FALSE(fs::exists(dir_ + "/into"));
+}
+
 // ---- Garbage collection (cache_gc) ---------------------------------------
 
 TEST_F(RunStoreTest, GcEnforcesSizeCapOldestFirst) {
@@ -463,6 +529,32 @@ TEST_F(RunStoreTest, GcFileCapDryRunAndForeignFilesUntouched) {
   // Kept records still load (GC never corrupts survivors).
   const RunKey newest{4ull << 56, 15ull};
   EXPECT_TRUE(store.load(newest).has_value());
+}
+
+TEST_F(RunStoreTest, GcDeletesOnlyOldOrphanedTempFiles) {
+  const RunStore store(dir_);
+  const RunKey key{9ull << 56, 9};
+  ASSERT_TRUE(store.save(key, sample_result(0.0)));
+  // What a writer killed between fsync and rename leaves next to the
+  // record, and what a live writer holds for a few milliseconds.
+  const std::string orphan = store.path_of(key) + ".tmp.4242.0";
+  const std::string live = store.path_of(key) + ".tmp.4242.1";
+  std::ofstream(orphan) << "complete but never renamed";
+  std::ofstream(live) << "still being written";
+  fs::last_write_time(orphan, fs::file_time_type::clock::now() -
+                                  2 * kOrphanTempAge);
+
+  const GcResult planned = gc_run_store(dir_, {.dry_run = true});
+  EXPECT_EQ(planned.deleted_temp_files, 1u);
+  EXPECT_TRUE(fs::exists(orphan)) << "dry run must not delete";
+
+  const GcResult swept = gc_run_store(dir_, {});
+  EXPECT_EQ(swept.deleted_temp_files, 1u);
+  EXPECT_EQ(swept.scanned_files, 1u) << "temp files are not records";
+  EXPECT_EQ(swept.deleted_files, 0u);
+  EXPECT_FALSE(fs::exists(orphan));
+  EXPECT_TRUE(fs::exists(live));
+  EXPECT_TRUE(store.load(key).has_value());
 }
 
 TEST_F(RunStoreTest, GcOnMissingDirIsEmpty) {

@@ -7,27 +7,20 @@
 //   cache_gc gc    --dir DIR [--max-mb N | --max-bytes N] [--max-files N]
 //                  [--dry-run]
 //   cache_gc stats --dir DIR
-//   cache_gc spool --dir DIR [--lease-sec N] [--done-ttl-sec N] [--dry-run]
 //
 // `gc` deletes the oldest records (by mtime) until the store fits every
-// given cap; with no cap it only reports. `stats` prints the store's
-// record count and size. --dir falls back to $CLUSMT_CACHE_DIR, matching
-// the bench flags. Only `*.run` records are ever touched; emptied key-
-// prefix subdirectories are pruned.
-//
-// `spool` sweeps a sharded-sweep spool directory (harness/spool.h)
-// instead: orphaned claimed/ leases older than --lease-sec are requeued,
-// acked done/ and terminal failed/ entries older than --done-ttl-sec are
-// deleted, and emptied per-worker claim dirs are pruned. Its --dir falls
-// back to $CLUSMT_SPOOL_DIR.
-#include <chrono>
+// given cap; with no cap it deletes no record. Either way it deletes the
+// temp files crashed writers orphaned (older than kOrphanTempAge). `stats`
+// prints the store's record count and size. --dir falls back to
+// $CLUSMT_CACHE_DIR, matching the bench flags. Only `*.run` records and
+// orphaned `*.run.tmp.*` files are ever touched; emptied key-prefix
+// subdirectories are pruned.
 #include <cstdio>
 #include <cstdlib>
 #include <string>
 
 #include "common/cli.h"
 #include "harness/run_store.h"
-#include "harness/spool.h"
 
 using namespace clusmt;
 
@@ -39,11 +32,8 @@ namespace {
       "usage: %s gc    --dir DIR [--max-mb N | --max-bytes N]\n"
       "                [--max-files N] [--dry-run]\n"
       "       %s stats --dir DIR\n"
-      "       %s spool --dir DIR [--lease-sec N] [--done-ttl-sec N]\n"
-      "                [--dry-run]\n"
-      "--dir falls back to $CLUSMT_CACHE_DIR ($CLUSMT_SPOOL_DIR for "
-      "spool).\n",
-      argv0, argv0, argv0);
+      "--dir falls back to $CLUSMT_CACHE_DIR.\n",
+      argv0, argv0);
   std::exit(2);
 }
 
@@ -58,40 +48,13 @@ int main(int argc, char** argv) {
   if (args.positional().size() != 1) usage(argv[0]);
   const std::string& command = args.positional()[0];
 
-  const char* dir_env =
-      command == "spool" ? "CLUSMT_SPOOL_DIR" : "CLUSMT_CACHE_DIR";
   std::string dir = args.get_string("dir", "");
   if (dir.empty()) {
-    if (const char* env = std::getenv(dir_env)) dir = env;
+    if (const char* env = std::getenv("CLUSMT_CACHE_DIR")) dir = env;
   }
   if (dir.empty()) {
-    std::fprintf(stderr, "error: no --dir given and %s unset\n", dir_env);
+    std::fprintf(stderr, "error: no --dir given and CLUSMT_CACHE_DIR unset\n");
     return 2;
-  }
-
-  if (command == "spool") {
-    const std::int64_t lease_sec = args.get_int("lease-sec", 300);
-    const std::int64_t done_ttl_sec = args.get_int("done-ttl-sec", 24 * 3600);
-    if (lease_sec < 0 || done_ttl_sec < 0) {
-      std::fprintf(stderr, "error: TTLs must be >= 0\n");
-      return 2;
-    }
-    harness::SpoolGcOptions options;
-    options.lease = std::chrono::seconds(lease_sec);
-    options.done_ttl = std::chrono::seconds(done_ttl_sec);
-    options.dry_run = args.get_bool("dry-run", false);
-    const harness::SpoolGcResult r = harness::gc_spool(dir, options);
-    std::printf(
-        "%s: %llu entries scanned; %s %llu orphaned leases, expired "
-        "%llu done + %llu failed, pruned %llu worker dirs%s\n",
-        dir.c_str(), static_cast<unsigned long long>(r.scanned),
-        options.dry_run ? "would requeue" : "requeued",
-        static_cast<unsigned long long>(r.reclaimed),
-        static_cast<unsigned long long>(r.deleted_done),
-        static_cast<unsigned long long>(r.deleted_failed),
-        static_cast<unsigned long long>(r.removed_dirs),
-        options.dry_run ? " [dry run]" : "");
-    return 0;
   }
 
   if (command == "stats") {
@@ -131,6 +94,11 @@ int main(int argc, char** argv) {
       mb(r.scanned_bytes), options.dry_run ? "would delete" : "deleted",
       static_cast<unsigned long long>(r.deleted_files), mb(r.deleted_bytes),
       options.dry_run ? " [dry run]" : "");
+  if (r.deleted_temp_files > 0) {
+    std::printf("%s %llu orphaned temp files\n",
+                options.dry_run ? "would delete" : "deleted",
+                static_cast<unsigned long long>(r.deleted_temp_files));
+  }
   if (r.removed_dirs > 0) {
     std::printf("pruned %llu empty prefix dirs\n",
                 static_cast<unsigned long long>(r.removed_dirs));

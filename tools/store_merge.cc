@@ -1,7 +1,7 @@
 // store_merge: unions run-store cache directories (harness/run_store.h).
-// The gather half of scatter-gather sweeps: workers that filled private
-// --cache-dir stores (separate hosts, separate CI shards) merge them into
-// one, and the next sweep runs warm against the union.
+// The gather half of a sweep split across hosts: each host runs a --filter
+// slice of the suite into its own --cache-dir, the stores are merged into
+// one, and a full sweep over the union simulates nothing.
 //
 // Usage:
 //   store_merge <into> <from>... [--dry-run]
