@@ -20,8 +20,6 @@
 //   --jobs N       host threads (default: all cores)
 //   --cache-dir D  persist finished runs under D and reuse them across
 //                  invocations (falls back to $CLUSMT_CACHE_DIR)
-//   --no-tape      bypass the trace-tape registry: every thread generates
-//                  its µop stream live (the tape differential oracle)
 //   --no-skip-ahead  disable quiescent-cycle skip-ahead: simulate every
 //                  cycle (the skip differential oracle; results identical)
 //   --no-rename-memo disable rename-plan memoization (the memo oracle;
@@ -40,7 +38,6 @@
 #include "common/cli.h"
 #include "common/table.h"
 #include "harness/sweep.h"
-#include "harness/tape_registry.h"
 #include "policy/policy.h"
 #include "trace/workload.h"
 
@@ -67,7 +64,6 @@ struct BenchOptions {
   std::string golden_path;
   std::string cache_dir;
   std::size_t jobs = 0;
-  bool no_tape = false;
   bool skip_ahead = true;
   bool rename_memo = true;
 
@@ -98,8 +94,6 @@ struct BenchOptions {
     // Attach the disk tier here so every bench gets --cache-dir for free:
     // all simulations funnel through the process-wide RunCache.
     harness::RunCache::instance().set_store_dir(opt.cache_dir);
-    opt.no_tape = args.get_bool("no-tape", false);
-    harness::TapeRegistry::instance().set_enabled(!opt.no_tape);
     opt.skip_ahead = !args.get_bool("no-skip-ahead", false);
     opt.rename_memo = !args.get_bool("no-rename-memo", false);
     return opt;

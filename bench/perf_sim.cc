@@ -10,18 +10,14 @@
 // --repeat runs to shrink scheduler noise. Simulation results are
 // deterministic, so repeats change timing only.
 //
-// Trace delivery goes through the tape registry (the product datapath):
-// the first repetition of a (profile, seed) records its replay tape, later
-// repetitions and cells replay it, so best-of measures the tape-warm rate.
-// --no-tape measures the live-RNG generator instead. A TAPES row in the
-// table reports the registry traffic alongside the timing rows.
+// Every thread generates its µop stream live, as in the figure sweeps, so
+// the measured phase includes trace generation.
 //
 // Flags:
 //   --cycles N   measured cycles per cell            [default 100000]
 //   --warmup N   warmup cycles before timing          [default 20000]
 //   --repeat N   timed repetitions per cell, best-of  [default 3]
 //   --seed S     trace pool master seed               [default 1]
-//   --no-tape    bypass trace tapes (live generator oracle)
 //   --no-skip-ahead   disable quiescent-cycle skip-ahead (oracle mode)
 //   --no-rename-memo  disable rename-plan memoization (oracle mode)
 //   --csv PATH / --json PATH   mirror the table
@@ -49,7 +45,6 @@
 #include "core/simulator.h"
 #include "harness/presets.h"
 #include "harness/sweep.h"
-#include "harness/tape_registry.h"
 #include "trace/workload.h"
 
 using namespace clusmt;
@@ -88,15 +83,8 @@ double run_cell_once(Cell& cell, const trace::TracePool& pool, Cycle cycles,
   config.skip_ahead = skip_ahead;
   config.rename_memo = rename_memo;
   core::Simulator sim(config);
-  auto& tapes = harness::TapeRegistry::instance();
-  const trace::TraceSpec* specs[2] = {
-      &pool.get(cell.preset->cat0, cell.preset->kind0, 0),
-      &pool.get(cell.preset->cat1, cell.preset->kind1, 1)};
-  for (ThreadId t = 0; t < 2; ++t) {
-    const trace::TraceProfile* profile = nullptr;
-    auto source = tapes.source_for(*specs[t], &profile);
-    sim.attach_thread(t, std::move(source), profile, specs[t]->seed);
-  }
+  sim.attach_thread(0, pool.get(cell.preset->cat0, cell.preset->kind0, 0));
+  sim.attach_thread(1, pool.get(cell.preset->cat1, cell.preset->kind1, 1));
   sim.run(warmup);
   sim.reset_stats();
   const double start = bench::wall_time_seconds();
@@ -143,7 +131,7 @@ bool parse_ref_json(const std::string& path,
         !field(row, "best_wall_ms", wall)) {
       continue;
     }
-    if (scheme == "TOTAL" || scheme == "TAPES") continue;
+    if (scheme == "TOTAL") continue;
     char* endp = nullptr;
     const double ms = std::strtod(wall.c_str(), &endp);
     if (endp == wall.c_str()) continue;  // non-numeric (a "-" cell)
@@ -174,8 +162,6 @@ int main(int argc, char** argv) {
   const std::string ab_cmd = args.get_string("ab", "");
   const bool skip_ahead = !args.get_bool("no-skip-ahead", false);
   const bool rename_memo = !args.get_bool("no-rename-memo", false);
-  harness::TapeRegistry& tapes = harness::TapeRegistry::instance();
-  tapes.set_enabled(!args.get_bool("no-tape", false));
 
   const trace::TracePool pool(seed);
   const Preset presets[] = {
@@ -211,16 +197,10 @@ int main(int argc, char** argv) {
       }
     }
   } else {
-    // Interleaved A/B: one untimed pass first so A's later passes are all
-    // tape-warm, then alternate a timed A pass with one B invocation
-    // (--repeat 2 best-of makes B's sample tape-warm too — its first rep
-    // records the child process's tapes, the second replays). Alternation
-    // means slow host drift (thermal, noisy neighbours) hits both sides
-    // equally instead of biasing whichever ran second.
-    for (Cell& cell : cells) {
-      (void)run_cell_once(cell, pool, cycles, warmup, skip_ahead,
-                          rename_memo);
-    }
+    // Interleaved A/B: alternate one timed A pass with one single-pass B
+    // invocation. Alternation means slow host drift (thermal, noisy
+    // neighbours) hits both sides equally instead of biasing whichever ran
+    // second.
     const std::string ref_json =
         "/tmp/perf_ab_ref." + std::to_string(getpid()) + ".json";
     for (int rep = 0; rep < repeat; ++rep) {
@@ -230,7 +210,7 @@ int main(int argc, char** argv) {
       }
       std::ostringstream cmd;
       cmd << ab_cmd << " --cycles " << cycles << " --warmup " << warmup
-          << " --repeat 2 --seed " << seed << " --json " << ref_json
+          << " --repeat 1 --seed " << seed << " --json " << ref_json
           << " > /dev/null";
       if (std::system(cmd.str().c_str()) != 0) {
         std::fprintf(stderr, "error: reference command failed: %s\n",
@@ -287,19 +267,6 @@ int main(int argc, char** argv) {
                                  (static_cast<double>(cycles) *
                                   static_cast<double>(cells.size())),
                              1)});
-  // Tape-registry traffic, mirrored into --csv/--json. The counters live
-  // in the workload label on purpose: they are attachment counts, not
-  // rates, and must not squat in the numeric rate columns (this row once
-  // leaked live_sources into kcycles_per_s as a bogus 0).
-  doc.add_row({"TAPES",
-               (tapes.enabled() ? std::string("replayed=") +
-                                      std::to_string(tapes.hits()) +
-                                      " recorded=" +
-                                      std::to_string(tapes.recordings()) +
-                                      " live=" +
-                                      std::to_string(tapes.live_sources())
-                                : std::string("(--no-tape)")),
-               "-", "-", "-", "-", "-"});
 
   std::printf(
       "Simulator throughput (%s of %d, %llu warmup + %llu measured "

@@ -61,30 +61,62 @@ bool Xoshiro256::chance(double p) noexcept {
   return uniform() < p;
 }
 
+namespace {
+/// floor(log1p(-u) / log1p_neg_p) for u = m53 * 2^-53, capped at `cap`:
+/// the geometric formula once the p guards have passed.
+[[nodiscard]] std::uint64_t geometric_formula(double log1p_neg_p,
+                                              std::uint64_t m53,
+                                              std::uint64_t cap) noexcept {
+  const double u = static_cast<double>(m53) * 0x1.0p-53;
+  const double draw = std::log1p(-u) / log1p_neg_p;
+  if (!(draw >= 0.0) || draw >= static_cast<double>(cap)) return cap;
+  return static_cast<std::uint64_t>(draw);
+}
+}  // namespace
+
 std::uint64_t Xoshiro256::geometric(double p, std::uint64_t cap) noexcept {
   if (p >= 1.0) return 0;
   if (p <= 0.0) return cap;
   // Inverse transform sampling: floor(log(u) / log(1-p)).
-  const double u = uniform();
-  const double draw = std::log1p(-u) / std::log1p(-p);
-  if (!(draw >= 0.0) || draw >= static_cast<double>(cap)) return cap;
-  return static_cast<std::uint64_t>(draw);
+  return geometric_formula(std::log1p(-p), (*this)() >> 11, cap);
 }
 
 Xoshiro256 Xoshiro256::fork() noexcept { return Xoshiro256((*this)()); }
 
 GeometricDist::GeometricDist(double p) noexcept
     : p_(p),
-      log1p_neg_p_(p > 0.0 && p < 1.0 ? std::log1p(-p) : 0.0) {}
+      log1p_neg_p_(p > 0.0 && p < 1.0 ? std::log1p(-p) : 0.0),
+      uses_rng_(!(p >= 1.0) && !(p <= 0.0)) {
+  constexpr std::uint64_t kDraws = std::uint64_t{1} << 53;
+  std::uint64_t lo = 0;
+  for (std::uint64_t k = 0; k < kTableMax; ++k) {
+    // First draw in [lo, kDraws) whose result reaches k + 1; the search
+    // for k + 2 starts there, as the result never falls with the draw.
+    std::uint64_t hi = kDraws;
+    while (lo < hi) {
+      const std::uint64_t mid = lo + (hi - lo) / 2;
+      if (formula(mid, k + 1) > k) {
+        hi = mid;
+      } else {
+        lo = mid + 1;
+      }
+    }
+    thresholds_[k] = lo;
+  }
+  thresholds_[kTableMax] = ~std::uint64_t{0};
+  std::uint64_t k = 0;
+  for (std::size_t b = 0; b < bucket_.size(); ++b) {
+    const std::uint64_t first = std::uint64_t{b} << (53 - kBucketBits);
+    while (k < kTableMax && thresholds_[k] <= first) ++k;
+    bucket_[b] = static_cast<std::uint8_t>(k);
+  }
+}
 
-std::uint64_t GeometricDist::sample(Xoshiro256& rng,
-                                    std::uint64_t cap) const noexcept {
+std::uint64_t GeometricDist::formula(std::uint64_t m53,
+                                     std::uint64_t cap) const noexcept {
   if (p_ >= 1.0) return 0;
   if (p_ <= 0.0) return cap;
-  const double u = rng.uniform();
-  const double draw = std::log1p(-u) / log1p_neg_p_;
-  if (!(draw >= 0.0) || draw >= static_cast<double>(cap)) return cap;
-  return static_cast<std::uint64_t>(draw);
+  return geometric_formula(log1p_neg_p_, m53, cap);
 }
 
 std::uint64_t hash_combine(std::uint64_t a, std::uint64_t b) noexcept {

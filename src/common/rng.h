@@ -6,6 +6,7 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 
 namespace clusmt {
@@ -48,22 +49,53 @@ class Xoshiro256 {
   std::array<std::uint64_t, 4> s_;
 };
 
-/// Geometric sampler with a fixed success probability: caches log1p(-p) at
-/// construction so each draw pays one log instead of two. sample() is
-/// bit-identical to Xoshiro256::geometric(p, cap) from the same RNG state
-/// (same guard conditions, same division operands), just cheaper for the
-/// hot per-µop distributions whose p never changes.
+/// Geometric sampler with a fixed success probability p. Its definition is
+/// Xoshiro256::geometric's formula, floor(log1p(-u) / log1p(-p)) with the
+/// same guards, and sample() returns exactly what geometric(p, cap) returns
+/// from the same RNG state, consuming the same RNG words. It gets there by
+/// table lookup instead of a log1p per draw: the constructor
+/// binary-searches, for each result k = 1..kTableMax, the first 53-bit draw
+/// the formula maps to k or more (the formula is monotone in the draw), and
+/// indexes those thresholds by the draw's top kBucketBits bits. A sample
+/// then costs one RNG word, one byte load and usually one compare. Caps
+/// above kTableMax stay exact: a draw past the last threshold falls back to
+/// the formula.
 class GeometricDist {
  public:
-  GeometricDist() = default;
+  static constexpr std::uint64_t kTableMax = 64;
+  static constexpr int kBucketBits = 10;
+
   explicit GeometricDist(double p) noexcept;
 
   [[nodiscard]] std::uint64_t sample(Xoshiro256& rng,
-                                     std::uint64_t cap) const noexcept;
+                                     std::uint64_t cap) const noexcept {
+    if (!uses_rng_) return p_ >= 1.0 ? 0 : cap;
+    return draw(rng() >> 11, cap);
+  }
+
+  /// The result for one 53-bit draw `m53` (the top 53 bits of an RNG word,
+  /// u = m53 * 2^-53), capped at `cap`.
+  [[nodiscard]] std::uint64_t draw(std::uint64_t m53,
+                                   std::uint64_t cap) const noexcept {
+    std::uint64_t k = bucket_[m53 >> (53 - kBucketBits)];
+    while (m53 >= thresholds_[k]) ++k;  // thresholds_[kTableMax] stops it
+    if (k >= cap) return cap;
+    return k < kTableMax ? k : formula(m53, cap);
+  }
 
  private:
+  [[nodiscard]] std::uint64_t formula(std::uint64_t m53,
+                                      std::uint64_t cap) const noexcept;
+
   double p_ = 0.0;
   double log1p_neg_p_ = 0.0;
+  bool uses_rng_ = false;  // false when the guards decide without a draw
+  /// thresholds_[k]: first draw whose result is k + 1 or more (2^53 when
+  /// none is); thresholds_[kTableMax] is a sentinel above every draw.
+  std::array<std::uint64_t, kTableMax + 1> thresholds_{};
+  /// bucket_[b]: the result of draw b << (53 - kBucketBits), at most
+  /// kTableMax; every draw of bucket b yields at least that.
+  std::array<std::uint8_t, std::size_t{1} << kBucketBits> bucket_{};
 };
 
 /// Stable 64-bit hash combiner for deriving per-entity seeds

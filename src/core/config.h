@@ -79,9 +79,10 @@ struct SimConfig {
   /// deltas in closed form. SimStats are bit-identical either way; OFF is
   /// the differential oracle (tests/skip_ahead_test.cc).
   bool skip_ahead = true;
-  /// Rename-plan memoization: replica-set presence masks and a per-thread
-  /// plan-shape cache keyed by (µop identity, replica masks, forced
-  /// cluster) replace the per-µop copy-plan rederivation. Pure-function
+  /// Rename-plan memoization: one 512-entry plan-shape table, shared by
+  /// all threads and keyed by (src0, src1, mask0, mask1) — the source arch
+  /// registers and their replica presence masks, with no pc and no forced
+  /// cluster — replaces the per-µop copy-plan rederivation. Pure-function
   /// cache — decisions are bit-identical; OFF is the oracle.
   bool rename_memo = true;
 

@@ -163,13 +163,12 @@ void Simulator::attach_thread(ThreadId tid,
 }
 
 void Simulator::attach_thread(ThreadId tid, const trace::TraceSpec& spec) {
-  auto profile = std::make_unique<trace::TraceProfile>(spec.profile);
-  const trace::TraceProfile* profile_ptr = profile.get();
-  owned_profiles_.push_back(std::move(profile));
-  attach_thread(tid,
-                std::make_shared<trace::SyntheticTrace>(*profile_ptr,
-                                                        spec.seed),
-                profile_ptr, spec.seed);
+  auto source =
+      std::make_shared<trace::SyntheticTrace>(spec.profile, spec.seed);
+  // The source's program owns a profile copy that lives as long as the
+  // fetch engine holds the source, as wrong-path synthesis requires.
+  const trace::TraceProfile* profile = &source->program().profile();
+  attach_thread(tid, std::move(source), profile, spec.seed);
 }
 
 void Simulator::run(Cycle cycles) {

@@ -429,9 +429,6 @@ class Simulator {
   /// the pass are netted out by its size check instead of bumping.
   bool in_blocked_retry_ = false;
 
-  // Shadow trace profiles (wrong-path synthesis needs stable pointers).
-  std::vector<std::unique_ptr<trace::TraceProfile>> owned_profiles_;
-
   policy::PipelineView view_;
   bool rf_blocked_flags_[kMaxThreads][kNumRegClasses] = {};
   int outstanding_l2_[kMaxThreads] = {};

@@ -210,8 +210,8 @@ class FetchEngine {
 
  private:
   /// Correct-path µops prefetched per TraceSource::fill call: one virtual
-  /// dispatch per buffer refill instead of one per µop. Sized at several
-  /// fetch groups so tape replay amortises to chunk-copy rate.
+  /// dispatch per buffer refill instead of one per µop, sized at several
+  /// fetch groups.
   static constexpr int kPrefetch = 32;
 
   struct ThreadState {

@@ -10,7 +10,6 @@
 #include "core/metrics.h"
 #include "harness/run_cache.h"
 #include "harness/run_key.h"
-#include "harness/tape_registry.h"
 
 namespace clusmt::harness {
 
@@ -36,15 +35,8 @@ RunResult simulate_workload(const core::SimConfig& config,
     throw std::invalid_argument(err.str());
   }
   core::Simulator sim(config);
-  auto& tapes = TapeRegistry::instance();
   for (std::size_t t = 0; t < spec.threads.size(); ++t) {
-    // Route through the tape registry: cells sharing a (profile, seed)
-    // trace replay one recording. Disabled (--no-tape), this hands back a
-    // live generator — the differential oracle for the tape path.
-    const trace::TraceProfile* profile = nullptr;
-    auto source = tapes.source_for(spec.threads[t], &profile);
-    sim.attach_thread(static_cast<ThreadId>(t), std::move(source), profile,
-                      spec.threads[t].seed);
+    sim.attach_thread(static_cast<ThreadId>(t), spec.threads[t]);
   }
   if (warmup > 0) {
     sim.run(warmup);

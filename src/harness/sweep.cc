@@ -10,7 +10,6 @@
 #include "common/thread_pool.h"
 #include "core/metrics.h"
 #include "harness/run_key.h"
-#include "harness/tape_registry.h"
 
 namespace clusmt::harness {
 
@@ -104,12 +103,8 @@ SweepResult run_sweep(const SweepSpec& spec) {
   const std::uint64_t misses_before = cache.misses();
   const std::uint64_t disk_hits_before = cache.disk_hits();
   const std::uint64_t corrupt_before = run_store_corrupt_reads();
-  TapeRegistry& tapes = TapeRegistry::instance();
   const std::uint64_t skipped_before = total_cycles_skipped();
   const std::uint64_t episodes_before = total_skip_episodes();
-  const std::uint64_t tape_hits_before = tapes.hits();
-  const std::uint64_t tape_recordings_before = tapes.recordings();
-  const std::uint64_t tape_live_before = tapes.live_sources();
 
   const std::size_t num_points = out.points.size();
   const std::size_t num_workloads = out.suite.size();
@@ -201,9 +196,6 @@ SweepResult run_sweep(const SweepSpec& spec) {
   out.cache_hits = cache.hits() - hits_before;
   out.cache_misses = cache.misses() - misses_before;
   out.cache_disk_hits = cache.disk_hits() - disk_hits_before;
-  out.tape_hits = tapes.hits() - tape_hits_before;
-  out.tape_recordings = tapes.recordings() - tape_recordings_before;
-  out.tape_live = tapes.live_sources() - tape_live_before;
   out.cycles_skipped = total_cycles_skipped() - skipped_before;
   out.skip_episodes = total_skip_episodes() - episodes_before;
   out.corrupt_records = run_store_corrupt_reads() - corrupt_before;
@@ -211,15 +203,11 @@ SweepResult run_sweep(const SweepSpec& spec) {
     std::fprintf(
         stderr,
         "[sweep] %zu points x %zu workloads: %llu simulated, %llu cached, "
-        "%llu loaded from disk; tapes: %llu replayed, %llu recorded, "
-        "%llu live; skipped %llu cycles in %llu jumps",
+        "%llu loaded from disk; skipped %llu cycles in %llu jumps",
         num_points, num_workloads,
         static_cast<unsigned long long>(out.cache_misses),
         static_cast<unsigned long long>(out.cache_hits),
         static_cast<unsigned long long>(out.cache_disk_hits),
-        static_cast<unsigned long long>(out.tape_hits),
-        static_cast<unsigned long long>(out.tape_recordings),
-        static_cast<unsigned long long>(out.tape_live),
         static_cast<unsigned long long>(out.cycles_skipped),
         static_cast<unsigned long long>(out.skip_episodes));
     if (out.corrupt_records > 0) {

@@ -123,13 +123,6 @@ struct SweepResult {
   std::uint64_t cache_misses = 0;
   std::uint64_t cache_disk_hits = 0;
 
-  /// Trace-tape traffic (delta, same protocol as the cache counters):
-  /// `tape_hits` thread attachments replayed an existing recording,
-  /// `tape_recordings` created one, `tape_live` bypassed tapes (--no-tape).
-  std::uint64_t tape_hits = 0;
-  std::uint64_t tape_recordings = 0;
-  std::uint64_t tape_live = 0;
-
   /// Quiescent-cycle skip-ahead activity of the cells this process
   /// actually simulated (delta protocol again; cached cells contribute
   /// nothing). `cycles_skipped` of the simulated cycles were replicated in

@@ -172,11 +172,11 @@ SyntheticCursor::SyntheticCursor(
     std::shared_ptr<const SyntheticProgram> program, std::uint64_t seed)
     : program_(std::move(program)),
       rng_(hash_combine(seed, 0xD1AA11C5)),
-      branch_state_(program_->blocks().size(), 0) {
+      branch_state_(program_->blocks().size(), 0),
+      dep_dist_(program_->profile().dep_geo_p),
+      old_dist_(program_->profile().old_src_p),
+      indirect_skew_dist_(0.9) {
   const TraceProfile& p = program_->profile();
-  dep_dist_ = GeometricDist(p.dep_geo_p);
-  old_dist_ = GeometricDist(p.old_src_p);
-  indirect_skew_dist_ = GeometricDist(0.9);
   two_src_prob_ = p.two_src_prob;
   fp_store_prob_ = p.effective_fp_load_fraction();
   // Give each trace a distinct 64 MB-aligned address region, mimicking

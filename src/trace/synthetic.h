@@ -206,7 +206,7 @@ class SyntheticCursor {
   ProducerRing recent_int_;
   ProducerRing recent_fp_;
 
-  // Hot per-µop geometric distributions (fixed p), with cached logs.
+  // Hot per-µop geometric distributions (fixed p), table-driven.
   GeometricDist dep_dist_;
   GeometricDist old_dist_;
   GeometricDist indirect_skew_dist_;

@@ -20,6 +20,7 @@
 #include "common/table.h"
 #include "common/thread_pool.h"
 #include "common/types.h"
+#include "trace/workload.h"
 
 namespace clusmt {
 namespace {
@@ -93,6 +94,111 @@ TEST(Rng, GeometricRespectsCap) {
   Xoshiro256 rng(17);
   for (int i = 0; i < 10000; ++i) {
     EXPECT_LE(rng.geometric(0.01, 5), 5u);
+  }
+}
+
+/// Xoshiro256::geometric's formula with its guards, for one 53-bit draw
+/// (u = m53 * 2^-53): the definition GeometricDist must reproduce exactly.
+std::uint64_t geometric_formula(double p, std::uint64_t m53,
+                                std::uint64_t cap) {
+  if (p >= 1.0) return 0;
+  if (p <= 0.0) return cap;
+  const double u = static_cast<double>(m53) * 0x1.0p-53;
+  const double draw = std::log1p(-u) / std::log1p(-p);
+  if (!(draw >= 0.0) || draw >= static_cast<double>(cap)) return cap;
+  return static_cast<std::uint64_t>(draw);
+}
+
+constexpr std::uint64_t kDraws = std::uint64_t{1} << 53;
+constexpr std::uint64_t kMaxCap = GeometricDist::kTableMax;
+
+/// Every p the trace generator samples with (dep_geo_p and old_src_p of
+/// TracePool seeds 1 and 1009, the indirect-target skew 0.9) plus edges.
+std::vector<double> sampler_probabilities() {
+  std::set<double> ps = {0.9, 1e-3, 0.999, 0.0, -0.5, 1.0, 1.5};
+  for (std::uint64_t seed : {1u, 1009u}) {
+    const trace::TracePool pool(seed);
+    for (const trace::TraceSpec& spec : pool.all()) {
+      ps.insert(spec.profile.dep_geo_p);
+      ps.insert(spec.profile.old_src_p);
+    }
+  }
+  return {ps.begin(), ps.end()};
+}
+
+/// Checks `dist.draw(m53, cap)` against the formula for every cap 0..64.
+/// The formula is evaluated once, at cap 64: with a finite, non-negative
+/// quotient (or a guard) a smaller cap c yields exactly min(result, c).
+void expect_draw_matches(const GeometricDist& dist, double p,
+                         std::uint64_t m53) {
+  const std::uint64_t at_max = geometric_formula(p, m53, kMaxCap);
+  for (std::uint64_t cap = 0; cap <= kMaxCap; ++cap) {
+    const std::uint64_t got = dist.draw(m53, cap);
+    if (got != std::min(at_max, cap)) {  // cheap check; ASSERT on failure
+      ASSERT_EQ(got, std::min(at_max, cap))
+          << "p=" << p << " m53=" << m53 << " cap=" << cap;
+    }
+  }
+  // Caps past the table fall back to the formula itself.
+  ASSERT_EQ(dist.draw(m53, 1000), geometric_formula(p, m53, 1000))
+      << "p=" << p << " m53=" << m53;
+}
+
+TEST(GeometricDist, MatchesFormulaAroundEveryThreshold) {
+  for (double p : sampler_probabilities()) {
+    const GeometricDist dist(p);
+    for (std::uint64_t k = 1; k <= kMaxCap; ++k) {
+      // First draw the formula maps to k or more, found independently of
+      // the table (kDraws when no draw reaches k).
+      std::uint64_t lo = 0;
+      std::uint64_t hi = kDraws;
+      while (lo < hi) {
+        const std::uint64_t mid = lo + (hi - lo) / 2;
+        if (geometric_formula(p, mid, k) >= k) {
+          hi = mid;
+        } else {
+          lo = mid + 1;
+        }
+      }
+      const std::uint64_t from = lo > 256 ? lo - 256 : 0;
+      const std::uint64_t to = std::min(lo + 256, kDraws - 1);
+      for (std::uint64_t m = from; m <= to; ++m) {
+        expect_draw_matches(dist, p, m);
+        if (HasFatalFailure()) return;
+      }
+    }
+  }
+}
+
+TEST(GeometricDist, MatchesFormulaOnRandomDraws) {
+  Xoshiro256 rng(2024);
+  for (double p : sampler_probabilities()) {
+    const GeometricDist dist(p);
+    for (int i = 0; i < 1'000'000; ++i) {
+      const std::uint64_t m = rng() >> 11;
+      const std::uint64_t cap = rng.bounded(kMaxCap + 1);
+      const std::uint64_t want = geometric_formula(p, m, cap);
+      if (dist.draw(m, cap) != want) {
+        ASSERT_EQ(dist.draw(m, cap), want)
+            << "p=" << p << " m53=" << m << " cap=" << cap;
+      }
+    }
+  }
+}
+
+TEST(GeometricDist, SampleMatchesXoshiroGeometric) {
+  // Same results from equal RNG states, and the same RNG words consumed:
+  // the guards (p <= 0, p >= 1) decide without drawing in both.
+  for (double p : sampler_probabilities()) {
+    const GeometricDist dist(p);
+    Xoshiro256 a(99);
+    Xoshiro256 b(99);
+    for (int i = 0; i < 20000; ++i) {
+      const std::uint64_t cap = static_cast<std::uint64_t>(i % 70);
+      ASSERT_EQ(dist.sample(a, cap), b.geometric(p, cap))
+          << "p=" << p << " sample #" << i;
+    }
+    EXPECT_EQ(a(), b()) << "p=" << p;
   }
 }
 

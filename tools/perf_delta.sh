@@ -8,8 +8,7 @@
 #
 # Rows present in only one file (a preset added or dropped) render with
 # "-" for the missing side, so coverage changes are visible rather than
-# silently dropped. The TAPES bookkeeping row is skipped — its columns are
-# counters, not kcycles/s.
+# silently dropped. Rows without a numeric kcycles_per_s are skipped.
 #
 # Usage: tools/perf_delta.sh COMMITTED_JSON FRESH_JSON
 set -euo pipefail
@@ -37,7 +36,7 @@ rows_of() {
            kcps = substr($0, RSTART, RLENGTH);
            sub(/.*: */, "", kcps);
          }
-         if (scheme != "" && scheme != "TAPES" && kcps != "") {
+         if (scheme != "" && kcps != "") {
            printf "%s|%s\t%s\n", scheme, workload, kcps;
          }
        }' "$1"
