@@ -20,10 +20,6 @@
 //   --jobs N       host threads (default: all cores)
 //   --cache-dir D  persist finished runs under D and reuse them across
 //                  invocations (falls back to $CLUSMT_CACHE_DIR)
-//   --no-skip-ahead  disable quiescent-cycle skip-ahead: simulate every
-//                  cycle (the skip differential oracle; results identical)
-//   --no-rename-memo disable rename-plan memoization (the memo oracle;
-//                  results identical)
 //   --golden-emit PATH  also write the table as golden JSON (the format
 //                  tools/golden_diff compares; see bench/golden/)
 #pragma once
@@ -64,8 +60,6 @@ struct BenchOptions {
   std::string golden_path;
   std::string cache_dir;
   std::size_t jobs = 0;
-  bool skip_ahead = true;
-  bool rename_memo = true;
 
   static BenchOptions parse(int argc, char** argv, Cycle default_cycles,
                             Cycle default_warmup = 50000) {
@@ -94,8 +88,6 @@ struct BenchOptions {
     // Attach the disk tier here so every bench gets --cache-dir for free:
     // all simulations funnel through the process-wide RunCache.
     harness::RunCache::instance().set_store_dir(opt.cache_dir);
-    opt.skip_ahead = !args.get_bool("no-skip-ahead", false);
-    opt.rename_memo = !args.get_bool("no-rename-memo", false);
     return opt;
   }
 
@@ -142,8 +134,6 @@ struct BenchOptions {
     spec.cycles = cycles;
     spec.warmup = warmup;
     spec.jobs = jobs;
-    spec.skip_ahead = skip_ahead;
-    spec.rename_memo = rename_memo;
     return spec;
   }
 };

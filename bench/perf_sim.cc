@@ -18,13 +18,11 @@
 //   --warmup N   warmup cycles before timing          [default 20000]
 //   --repeat N   timed repetitions per cell, best-of  [default 3]
 //   --seed S     trace pool master seed               [default 1]
-//   --no-skip-ahead   disable quiescent-cycle skip-ahead (oracle mode)
-//   --no-rename-memo  disable rename-plan memoization (oracle mode)
 //   --csv PATH / --json PATH   mirror the table
 //   --ab CMD     interleaved A/B comparison against a reference
 //                bench_perf_sim. CMD is a command prefix (a binary path,
 //                optionally with flags — e.g. "./bench_perf_sim_main" or
-//                "build/bench/bench_perf_sim --no-skip-ahead"); the bench
+//                "taskset -c 2 build-ref/bench/bench_perf_sim"); the bench
 //                alternates one timed pass of this binary (A) with one
 //                invocation of CMD (B), --repeat times each, then reports
 //                per-cell medians and the A/B speedup table. The main
@@ -77,11 +75,9 @@ double median_of(std::vector<double> v) {
 /// Simulates one cell once and returns the measured-phase wall seconds.
 /// Deterministic results: committed/skip tallies are identical every call.
 double run_cell_once(Cell& cell, const trace::TracePool& pool, Cycle cycles,
-                     Cycle warmup, bool skip_ahead, bool rename_memo) {
+                     Cycle warmup) {
   core::SimConfig config = harness::rf_study_config(64);
   config.policy = cell.scheme;
-  config.skip_ahead = skip_ahead;
-  config.rename_memo = rename_memo;
   core::Simulator sim(config);
   sim.attach_thread(0, pool.get(cell.preset->cat0, cell.preset->kind0, 0));
   sim.attach_thread(1, pool.get(cell.preset->cat1, cell.preset->kind1, 1));
@@ -160,8 +156,6 @@ int main(int argc, char** argv) {
   const std::string csv_path = args.get_string("csv", "");
   const std::string json_path = args.get_string("json", "");
   const std::string ab_cmd = args.get_string("ab", "");
-  const bool skip_ahead = !args.get_bool("no-skip-ahead", false);
-  const bool rename_memo = !args.get_bool("no-rename-memo", false);
 
   const trace::TracePool pool(seed);
   const Preset presets[] = {
@@ -192,8 +186,7 @@ int main(int argc, char** argv) {
     // historical methodology behind the committed BENCH_sim.json points.
     for (Cell& cell : cells) {
       for (int rep = 0; rep < repeat; ++rep) {
-        cell.wall_s.push_back(run_cell_once(cell, pool, cycles, warmup,
-                                            skip_ahead, rename_memo));
+        cell.wall_s.push_back(run_cell_once(cell, pool, cycles, warmup));
       }
     }
   } else {
@@ -205,8 +198,7 @@ int main(int argc, char** argv) {
         "/tmp/perf_ab_ref." + std::to_string(getpid()) + ".json";
     for (int rep = 0; rep < repeat; ++rep) {
       for (Cell& cell : cells) {
-        cell.wall_s.push_back(run_cell_once(cell, pool, cycles, warmup,
-                                            skip_ahead, rename_memo));
+        cell.wall_s.push_back(run_cell_once(cell, pool, cycles, warmup));
       }
       std::ostringstream cmd;
       cmd << ab_cmd << " --cycles " << cycles << " --warmup " << warmup
@@ -270,12 +262,11 @@ int main(int argc, char** argv) {
 
   std::printf(
       "Simulator throughput (%s of %d, %llu warmup + %llu measured "
-      "cycles/cell, seed %llu%s)\n\n%s\n",
+      "cycles/cell, seed %llu)\n\n%s\n",
       ab_cmd.empty() ? "best" : "median", repeat,
       static_cast<unsigned long long>(warmup),
       static_cast<unsigned long long>(cycles),
-      static_cast<unsigned long long>(seed),
-      skip_ahead ? "" : ", skip-ahead OFF", doc.render_text().c_str());
+      static_cast<unsigned long long>(seed), doc.render_text().c_str());
 
   if (!ab_cmd.empty()) {
     // Per-cell A/B delta: reference median beside this binary's median.

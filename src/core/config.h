@@ -71,21 +71,6 @@ struct SimConfig {
   /// Aborts the run if no µop commits for this many cycles (deadlock trap).
   Cycle watchdog_cycles = 100000;
 
-  // --- Model-level fast paths (behavior-preserving; differential knobs) ---
-  /// Quiescent-cycle skip-ahead: when a cycle provably changes nothing but
-  /// monotone stall counters (no fetch/rename/issue/commit/event progress),
-  /// jump `now` to the next timing-wheel event (capped at interval-policy
-  /// boundaries and the watchdog limit) and replicate the per-cycle stat
-  /// deltas in closed form. SimStats are bit-identical either way; OFF is
-  /// the differential oracle (tests/skip_ahead_test.cc).
-  bool skip_ahead = true;
-  /// Rename-plan memoization: one 512-entry plan-shape table, shared by
-  /// all threads and keyed by (src0, src1, mask0, mask1) — the source arch
-  /// registers and their replica presence masks, with no pc and no forced
-  /// cluster — replaces the per-µop copy-plan rederivation. Pure-function
-  /// cache — decisions are bit-identical; OFF is the oracle.
-  bool rename_memo = true;
-
   /// Effective per-thread ROB capacity (0 selects the unbounded mode).
   [[nodiscard]] int effective_rob_entries() const noexcept {
     return rob_entries == 0 ? 4096 : rob_entries;

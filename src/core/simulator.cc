@@ -1,7 +1,6 @@
 #include "core/simulator.h"
 
 #include <algorithm>
-#include <bit>
 #include <cassert>
 #include <cstdio>
 #include <limits>
@@ -31,7 +30,7 @@ Simulator::Simulator(const SimConfig& config)
     : config_(config),
       steering_(config.steering, config.num_clusters,
                 config.steer_imbalance_threshold),
-      policy_(config.policy, config.policy_config) {
+      policy_(policy::make_policy(config.policy, config.policy_config)) {
   if (config.num_threads < 1 || config.num_threads > kMaxThreads) {
     throw std::invalid_argument("unsupported thread count");
   }
@@ -188,7 +187,7 @@ void Simulator::run(Cycle cycles) {
     // machine looks idle for one cycle while work is in flight), so
     // failed probes back off exponentially — attempting less often is
     // always sound, because skipping is semantically the identity.
-    if (config_.skip_ahead && now_ >= skip_retry_at_ && maybe_quiescent()) {
+    if (skip_ahead_ && now_ >= skip_retry_at_ && maybe_quiescent()) {
       const Cycle horizon = skip_horizon(end);
       if (horizon > now_ + 1) {
         if (probe_and_replicate(horizon)) {
@@ -239,7 +238,7 @@ bool Simulator::probe_and_replicate(Cycle horizon) {
     } else if (!(d == d0)) {
       return false;  // phases stall on different resources: not replicable
     }
-    if (policy_.select_state_fingerprint() == base_fp) {
+    if (policy_->select_state_fingerprint() == base_fp) {
       if (now_ >= horizon) return true;  // probes consumed the whole window
       const std::uint64_t k = horizon - now_;
       replicate_skip(d0, horizon);
@@ -266,10 +265,10 @@ void Simulator::replay_select_cursor(std::uint64_t k) {
   for (int t = 0; t < config_.num_threads; ++t) {
     if (!fetch_->queue_empty(t)) candidates |= 1u << t;
   }
-  candidates = policy_.rename_eligible(view_, candidates);
+  candidates = policy_->rename_eligible(view_, candidates);
   if (candidates == 0) return;  // select never runs; the cursor is frozen
   for (std::uint64_t i = 0; i < k; ++i) {
-    (void)policy_.select_rename_thread(view_, candidates);
+    (void)policy_->select_rename_thread(view_, candidates);
   }
 }
 
@@ -282,13 +281,13 @@ void Simulator::check_watchdog() const {
     std::ostringstream err;
     err << "simulator watchdog: no commit since cycle "
         << last_commit_cycle_ << " (now " << now_ << ", policy "
-        << policy_.name() << ")";
+        << policy_->name() << ")";
     throw std::runtime_error(err.str());
   }
 }
 
 // --------------------------------------------------------------------------
-// Quiescent-cycle skip-ahead (SimConfig::skip_ahead)
+// Quiescent-cycle skip-ahead (set_skip_ahead)
 // --------------------------------------------------------------------------
 
 // Structural pre-filter, run every iteration: can this cycle possibly make
@@ -320,7 +319,7 @@ bool Simulator::maybe_quiescent() {
   }
   if (can_fetch == 0) return true;
   const std::uint32_t all = (1u << config_.num_threads) - 1;
-  return (policy_.fetch_eligible(view_, all) & can_fetch) == 0;
+  return (policy_->fetch_eligible(view_, all) & can_fetch) == 0;
 }
 
 // First cycle at which the frozen machine may change, computed from
@@ -331,7 +330,7 @@ Cycle Simulator::skip_horizon(Cycle end) {
   // An event due this cycle or next forbids any skip; the caller's
   // horizon > now_+1 test will fail, so the remaining bounds are moot.
   if (h <= now_ + 1) return h;
-  h = std::min(h, policy_.quiesce_horizon(now_));
+  h = std::min(h, policy_->quiesce_horizon(now_));
   // The watchdog must throw at exactly the oracle's cycle (the message
   // embeds now_); the +1 is the first cycle the condition can hold.
   h = std::min(h, last_commit_cycle_ + config_.watchdog_cycles + 1);
@@ -355,7 +354,7 @@ void Simulator::capture_snapshot(SkipSnapshot& snap) const {
   snap.steer = steering_.stats();
   snap.mob = mob_->stats();
   snap.event_order = event_order_;
-  snap.select_fingerprint = policy_.select_state_fingerprint();
+  snap.select_fingerprint = policy_->select_state_fingerprint();
   snap.last_commit_cycle = last_commit_cycle_;
   for (int t = 0; t < config_.num_threads; ++t) {
     for (int k = 0; k < kNumRegClasses; ++k) {
@@ -492,10 +491,10 @@ void Simulator::replicate_skip(const ProbeDelta& d, Cycle horizon) {
   sd.dependence_free = d.steer_dependence_free;
   steering_.add_stats(sd, k);
 
-  // Interval policies integrate their per-cycle counters over the skipped
-  // cycles (CDPRF in closed form). view_ carries the frozen occupancies
-  // and the probe-validated rf_blocked flags.
-  policy_.quiesce(view_, now_, horizon);
+  // Interval policies replay their per-cycle bookkeeping over the skipped
+  // cycles. view_ carries the frozen occupancies and the probe-validated
+  // rf_blocked flags.
+  policy_->quiesce(view_, now_, horizon);
 
   // The commit round-robin rotates unconditionally every cycle.
   commit_rr_ = static_cast<ThreadId>(
@@ -520,30 +519,17 @@ void Simulator::reset_stats() {
 }
 
 void Simulator::step() {
-  // One shape test per cycle selects the specialized datapath for the
-  // paper's two-thread/two-cluster machine; everything else runs the
-  // generic instantiation with runtime bounds (identical code, identical
-  // behavior).
-  if (config_.num_clusters == 2 && config_.num_threads == 2) {
-    step_cycle<2, 2>();
-  } else {
-    step_cycle<0, 0>();
-  }
-}
-
-template <int NC, int NT>
-void Simulator::step_cycle() {
   refresh_view();
 #ifndef NDEBUG
   assert(validate_view());
 #endif
-  policy_.begin_cycle(view_);
+  policy_->begin_cycle(view_);
   handle_flush_requests();
-  commit_stage<NC, NT>();
+  commit_stage();
   writeback_stage();
-  issue_stage<NC, NT>();
-  rename_stage<NC, NT>();
-  fetch_stage<NT>();
+  issue_stage();
+  rename_stage();
+  fetch_stage();
   ++now_;
   ++stats_.cycles;
 }
@@ -691,12 +677,6 @@ void Simulator::sync_decode_depth(ThreadId tid) {
 void Simulator::schedule(Cycle cycle, EventKind kind, const DynUop& uop) {
   const Cycle delta = cycle - now_;
   assert(delta >= 1 && "events must be scheduled strictly in the future");
-  // Min-update the next-event hint while it is valid (> now_). A stale
-  // hint must stay stale — earlier events it does not know about may be
-  // pending — until next_event_cycle() rescans.
-  if (next_event_hint_ > now_ && cycle < next_event_hint_) {
-    next_event_hint_ = cycle;
-  }
   const int rob_slot = robs_[uop.tid].slot_of(uop);
   if (event_model_ == EventModel::kWheel && delta < kEventWheelBuckets) {
     // The bucket holds only records for exactly `cycle` (buckets are fully
@@ -723,10 +703,9 @@ void Simulator::schedule(Cycle cycle, EventKind kind, const DynUop& uop) {
 // Commit
 // --------------------------------------------------------------------------
 
-template <int NC, int NT>
 void Simulator::commit_stage() {
-  const int num_clusters = bound_or<NC>(config_.num_clusters);
-  const int num_threads = bound_or<NT>(config_.num_threads);
+  const int num_clusters = config_.num_clusters;
+  const int num_threads = config_.num_threads;
   int budget = config_.commit_width;
   int store_ports = config_.l1_write_ports;
 
@@ -785,7 +764,7 @@ void Simulator::note_l2_miss_started(DynUop& uop) {
   uop.l2_miss_outstanding = true;
   ++outstanding_l2_[uop.tid];
   view_.l2_pending[uop.tid] = true;
-  policy_.on_l2_miss(uop.tid, uop.seq, now_);
+  policy_->on_l2_miss(uop.tid, uop.seq, now_);
 }
 
 void Simulator::note_l2_miss_finished(DynUop& uop) {
@@ -794,7 +773,7 @@ void Simulator::note_l2_miss_finished(DynUop& uop) {
   --outstanding_l2_[uop.tid];
   assert(outstanding_l2_[uop.tid] >= 0);
   view_.l2_pending[uop.tid] = outstanding_l2_[uop.tid] > 0;
-  policy_.on_l2_resolved(uop.tid, uop.seq, now_);
+  policy_->on_l2_resolved(uop.tid, uop.seq, now_);
 }
 
 void Simulator::start_load_access(DynUop& uop) {
@@ -874,12 +853,7 @@ void Simulator::drain_events() {
   bucket.clear();
 }
 
-Cycle Simulator::next_event_cycle() {
-  // Valid-hint fast path: schedule() min-updates the hint and events are
-  // only removed by the drain at their exact due cycle, so a hint still
-  // in the future IS the exact earliest pending cycle (see the invariant
-  // note at the member).
-  if (next_event_hint_ > now_) return next_event_hint_;
+Cycle Simulator::next_event_cycle() const {
   Cycle best = std::numeric_limits<Cycle>::max();
   if (!event_overflow_.empty()) best = event_overflow_.top().cycle;
   if (wheel_pending_ > 0) {
@@ -896,7 +870,6 @@ Cycle Simulator::next_event_cycle() {
       }
     }
   }
-  next_event_hint_ = best;
   return best;
 }
 
@@ -972,10 +945,9 @@ bool Simulator::source_ready(const PhysRef& ref) const {
   return clusters_[ref.cluster].rf(ref.cls).ready(ref.index);
 }
 
-template <int NC, int NT>
 void Simulator::issue_stage() {
-  const int num_clusters = bound_or<NC>(config_.num_clusters);
-  const int num_threads = bound_or<NT>(config_.num_threads);
+  const int num_clusters = config_.num_clusters;
+  const int num_threads = config_.num_threads;
   interconnect_->new_cycle();
   bool any_issue = false;
   int ready_unissued[kMaxClusters][trace::kNumPortClasses] = {};
@@ -1076,9 +1048,8 @@ void Simulator::issue_stage() {
 // Rename / steer / dispatch
 // --------------------------------------------------------------------------
 
-template <int NC, int NT>
 void Simulator::rename_stage() {
-  const int num_threads = bound_or<NT>(config_.num_threads);
+  const int num_threads = config_.num_threads;
   refresh_view();
   for (int t = 0; t < num_threads; ++t) {
     for (int k = 0; k < kNumRegClasses; ++k) rf_blocked_flags_[t][k] = false;
@@ -1088,20 +1059,20 @@ void Simulator::rename_stage() {
   for (int t = 0; t < num_threads; ++t) {
     if (!fetch_->queue_empty(t)) candidates |= 1u << t;
   }
-  candidates = policy_.rename_eligible(view_, candidates);
+  candidates = policy_->rename_eligible(view_, candidates);
   if (candidates == 0) return;
 
-  const ThreadId tid = policy_.select_rename_thread(view_, candidates);
+  const ThreadId tid = policy_->select_rename_thread(view_, candidates);
   if (tid < 0) return;
 
   // Per-burst invariants, hoisted out of the per-µop loop: the forced
   // cluster is a function of (scheme, tid) only.
-  const ClusterId forced = policy_.forced_cluster(view_, tid);
+  const ClusterId forced = policy_->forced_cluster(view_, tid);
 
   int budget = config_.rename_width;
   bool renamed_any = false;
   while (budget > 0 && !fetch_->queue_empty(tid)) {
-    const int consumed = try_rename_front<NC>(tid, forced);
+    const int consumed = try_rename_front(tid, forced);
     if (consumed == 0) {
       ++stats_.rename_blocked_cycles;
       break;
@@ -1116,72 +1087,11 @@ void Simulator::rename_stage() {
   if (renamed_any) ++stats_.rename_cycles;
 }
 
-// Rename-plan memoization (SimConfig::rename_memo). The copy-plan *shape*
-// — which clusters need copies and each copy's {arch, source cluster} — is
-// a pure function of (src0, src1, the sources' replica masks) alone, so
-// the memo is keyed on exactly that tuple and shared by every thread and
-// pc: hot registers dominate the synthetic traces' geometric operand
-// distribution, which makes this small domain re-occur constantly even
-// though (pc, srcs) pairs rarely repeat. Direct-mapped with the full key
-// checked exactly: a collision or a changed replica mask is a miss that
-// refills the slot. Physical register numbers are re-read live (phys ids
-// recycle under the same mask), so no invalidation is ever needed.
-const Simulator::PlanMemoEntry* Simulator::plan_memo_lookup(
-    const frontend::FetchedUop& fu,
-    const frontend::ReplicaSet* const srcs[2]) {
-  if (plan_memo_.empty()) plan_memo_.resize(kPlanMemoEntries);
-  const std::uint8_t mask0 = srcs[0] != nullptr ? srcs[0]->mask : 0;
-  const std::uint8_t mask1 = srcs[1] != nullptr ? srcs[1]->mask : 0;
-  const std::uint32_t h =
-      (static_cast<std::uint32_t>(static_cast<std::uint16_t>(fu.op.src0)) *
-       0x9e37u) ^
-      (static_cast<std::uint32_t>(static_cast<std::uint16_t>(fu.op.src1)) *
-       0x85ebu) ^
-      (static_cast<std::uint32_t>(mask0) << 8) ^ mask1;
-  PlanMemoEntry& e = plan_memo_[h & (kPlanMemoEntries - 1)];
-  if (e.src0 == fu.op.src0 && e.src1 == fu.op.src1 && e.mask0 == mask0 &&
-      e.mask1 == mask1) {
-    return &e;
-  }
-  // Miss: rebuild the entry by replaying plan_for_cluster's plan_source
-  // logic (same skip conditions, same dedup, same any_cluster choice) for
-  // every cluster. The forced-cluster dispatch argument is deliberately
-  // not in the key: the plan shape is derived for all clusters at once
-  // and never depends on which one the caller targets.
-  e = PlanMemoEntry{};
-  e.src0 = static_cast<std::int16_t>(fu.op.src0);
-  e.src1 = static_cast<std::int16_t>(fu.op.src1);
-  e.mask0 = mask0;
-  e.mask1 = mask1;
-  for (int c = 0; c < config_.num_clusters; ++c) {
-    int n = 0;
-    const auto add = [&](int arch, std::uint8_t mask) {
-      if (arch < 0) return;                 // absent source
-      if (mask == 0) return;                // !anywhere()
-      if ((mask >> c) & 1u) return;         // present(cluster)
-      for (int i = 0; i < n; ++i) {
-        if (e.copies[c][i].arch == arch) return;  // one copy per arch reg
-      }
-      e.copies[c][n].arch = static_cast<std::int16_t>(arch);
-      // any_cluster() == lowest set bit of the presence mask.
-      e.copies[c][n].from = static_cast<std::int8_t>(std::countr_zero(mask));
-      ++n;
-    };
-    add(fu.op.src0, mask0);
-    add(fu.op.src1, mask1);
-    e.num_copies[c] = static_cast<std::uint8_t>(n);
-    if (n > 0) e.copy_needed_mask |= static_cast<std::uint8_t>(1u << c);
-  }
-  return &e;
-}
-
-template <int NC>
 bool Simulator::plan_for_cluster(ThreadId tid, const frontend::FetchedUop& fu,
                                  const frontend::ReplicaSet* const srcs[2],
                                  ClusterId cluster, RenamePlan& plan,
-                                 bool& iq_failure, bool& rf_failure,
-                                 const PlanMemoEntry* memo) {
-  const int num_clusters = bound_or<NC>(config_.num_clusters);
+                                 bool& iq_failure, bool& rf_failure) {
+  const int num_clusters = config_.num_clusters;
   plan = RenamePlan{};
   plan.cluster = cluster;
 
@@ -1189,34 +1099,20 @@ bool Simulator::plan_for_cluster(ThreadId tid, const frontend::FetchedUop& fu,
   iq_need[cluster] += 1;
   int rf_need[kNumRegClasses] = {};
 
-  if (memo != nullptr) {
-    // Replay the cached skeleton; only the physical register ids are read
-    // live (the exact-mask key guarantees rs->phys[sk.from] >= 0).
-    for (int i = 0; i < memo->num_copies[cluster]; ++i) {
-      const PlanMemoEntry::CopySkeleton& sk = memo->copies[cluster][i];
-      const frontend::ReplicaSet& rs =
-          sk.arch == fu.op.src0 ? *srcs[0] : *srcs[1];
-      plan.copies[plan.num_copies++] = RenamePlan::CopyPlan{
-          sk.arch, sk.from, rs.phys[sk.from]};
-      ++iq_need[sk.from];
-      ++rf_need[static_cast<int>(arch_reg_class(sk.arch))];
+  auto plan_source = [&](int arch, const frontend::ReplicaSet* rs) {
+    if (rs == nullptr) return;
+    if (!rs->anywhere() || rs->present(cluster)) return;
+    for (int i = 0; i < plan.num_copies; ++i) {
+      if (plan.copies[i].arch == arch) return;  // one copy per arch reg
     }
-  } else {
-    auto plan_source = [&](int arch, const frontend::ReplicaSet* rs) {
-      if (rs == nullptr) return;
-      if (!rs->anywhere() || rs->present(cluster)) return;
-      for (int i = 0; i < plan.num_copies; ++i) {
-        if (plan.copies[i].arch == arch) return;  // one copy per arch reg
-      }
-      const ClusterId from = rs->any_cluster();
-      plan.copies[plan.num_copies++] =
-          RenamePlan::CopyPlan{arch, from, rs->phys[from]};
-      ++iq_need[from];
-      ++rf_need[static_cast<int>(arch_reg_class(arch))];
-    };
-    plan_source(fu.op.src0, srcs[0]);
-    plan_source(fu.op.src1, srcs[1]);
-  }
+    const ClusterId from = rs->any_cluster();
+    plan.copies[plan.num_copies++] =
+        RenamePlan::CopyPlan{arch, from, rs->phys[from]};
+    ++iq_need[from];
+    ++rf_need[static_cast<int>(arch_reg_class(arch))];
+  };
+  plan_source(fu.op.src0, srcs[0]);
+  plan_source(fu.op.src1, srcs[1]);
 
   if (fu.op.has_dst()) {
     ++rf_need[static_cast<int>(arch_reg_class(fu.op.dst))];
@@ -1230,7 +1126,7 @@ bool Simulator::plan_for_cluster(ThreadId tid, const frontend::FetchedUop& fu,
     if (iq_need[c] == 0) continue;
     if (clusters_[c].iq().occupancy() + iq_need[c] >
             clusters_[c].iq().capacity() ||
-        !policy_.allow_iq_dispatch(view_, tid, c, iq_need[c],
+        !policy_->allow_iq_dispatch(view_, tid, c, iq_need[c],
                                     total_iq_need)) {
       iq_failure = true;
       return false;
@@ -1241,7 +1137,7 @@ bool Simulator::plan_for_cluster(ThreadId tid, const frontend::FetchedUop& fu,
     if (rf_need[k] == 0) continue;
     const RegClass cls = static_cast<RegClass>(k);
     if (clusters_[cluster].rf(cls).free_count() < rf_need[k] ||
-        !policy_.allow_rf_alloc(view_, tid, cluster, cls, rf_need[k])) {
+        !policy_->allow_rf_alloc(view_, tid, cluster, cls, rf_need[k])) {
       rf_failure = true;
       rf_blocked_flags_[tid][k] = true;  // refined below when dispatched
       return false;
@@ -1265,7 +1161,7 @@ bool Simulator::plan_no_copies(ThreadId tid, const frontend::FetchedUop& fu,
 
   if (clusters_[cluster].iq().occupancy() + 1 >
           clusters_[cluster].iq().capacity() ||
-      !policy_.allow_iq_dispatch(view_, tid, cluster, 1, 1)) {
+      !policy_->allow_iq_dispatch(view_, tid, cluster, 1, 1)) {
     iq_failure = true;
     return false;
   }
@@ -1273,7 +1169,7 @@ bool Simulator::plan_no_copies(ThreadId tid, const frontend::FetchedUop& fu,
   if (fu.op.has_dst()) {
     const RegClass cls = arch_reg_class(fu.op.dst);
     if (clusters_[cluster].rf(cls).free_count() < 1 ||
-        !policy_.allow_rf_alloc(view_, tid, cluster, cls, 1)) {
+        !policy_->allow_rf_alloc(view_, tid, cluster, cls, 1)) {
       rf_failure = true;
       rf_blocked_flags_[tid][static_cast<int>(cls)] = true;
       return false;
@@ -1282,9 +1178,8 @@ bool Simulator::plan_no_copies(ThreadId tid, const frontend::FetchedUop& fu,
   return true;
 }
 
-template <int NC>
 int Simulator::try_rename_front(ThreadId tid, ClusterId forced) {
-  const int num_clusters = bound_or<NC>(config_.num_clusters);
+  const int num_clusters = config_.num_clusters;
   const frontend::FetchedUop& fu = fetch_->queue_front(tid);
 
   // Memory-order-buffer slot is cluster independent.
@@ -1343,26 +1238,12 @@ int Simulator::try_rename_front(ThreadId tid, ClusterId forced) {
            (srcs[1] != nullptr && srcs[1]->anywhere() &&
             !srcs[1]->present(c));
   };
-  // Memoized copy-plan shape (SimConfig::rename_memo), consulted lazily:
-  // the lookup runs only when some cluster's plan actually needs copies —
-  // the no-copy fast path (the overwhelming majority of renames) must not
-  // pay a table touch it cannot profit from. One lookup serves every
-  // cluster planned for this µop. nullptr when the feature is off; the
-  // entry's exact key makes the replay bit-identical to the loop it
-  // replaces — tests/skip_ahead_test.cc diffs the modes.
-  const PlanMemoEntry* memo = nullptr;
-  bool memo_resolved = false;
   const auto plan_cluster = [&](ClusterId c, RenamePlan& plan,
                                 bool& iq_failure, bool& rf_failure) {
-    if (!needs_copies(c)) {
-      return plan_no_copies(tid, fu, c, plan, iq_failure, rf_failure);
-    }
-    if (!memo_resolved) {
-      memo_resolved = true;
-      if (config_.rename_memo) memo = plan_memo_lookup(fu, srcs);
-    }
-    return plan_for_cluster<NC>(tid, fu, srcs, c, plan, iq_failure,
-                                rf_failure, memo);
+    return needs_copies(c)
+               ? plan_for_cluster(tid, fu, srcs, c, plan, iq_failure,
+                                  rf_failure)
+               : plan_no_copies(tid, fu, c, plan, iq_failure, rf_failure);
   };
 
   ClusterId preferred;
@@ -1569,11 +1450,9 @@ void Simulator::execute_plan(ThreadId tid, const frontend::FetchedUop& fu,
 // Fetch
 // --------------------------------------------------------------------------
 
-template <int NT>
 void Simulator::fetch_stage() {
-  const int num_threads = bound_or<NT>(config_.num_threads);
-  std::uint32_t mask = (1u << num_threads) - 1;
-  mask = policy_.fetch_eligible(view_, mask);
+  std::uint32_t mask = (1u << config_.num_threads) - 1;
+  mask = policy_->fetch_eligible(view_, mask);
   const ThreadId tid = fetch_->select_fetch_thread(mask, now_);
   if (tid >= 0) {
     fetch_->fetch_cycle(tid, now_);
@@ -1626,7 +1505,7 @@ void Simulator::squash_younger_than(ThreadId tid, std::uint64_t boundary_seq,
 }
 
 void Simulator::handle_flush_requests() {
-  while (auto request = policy_.flush_request(now_)) {
+  while (auto request = policy_->flush_request(now_)) {
     std::vector<trace::MicroOp> replay;
     std::uint64_t checkpoint = 0;
     bool any_branch = false;
@@ -1649,7 +1528,7 @@ void Simulator::handle_flush_requests() {
                                  ? std::optional<std::uint64_t>(checkpoint)
                                  : std::nullopt);
     sync_decode_depth(request->tid);
-    policy_.on_flush_done(request->tid);
+    policy_->on_flush_done(request->tid);
     ++stats_.policy_flushes;
   }
 }

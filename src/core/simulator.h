@@ -20,7 +20,6 @@
 #include "frontend/rename_map.h"
 #include "memory/hierarchy.h"
 #include "memory/mob.h"
-#include "policy/dispatch.h"
 #include "policy/policy.h"
 #include "steer/steering.h"
 #include "trace/trace_source.h"
@@ -57,26 +56,22 @@ class Simulator {
     return event_model_;
   }
 
-  /// Quiescent-cycle skip-ahead telemetry (SimConfig::skip_ahead). These
-  /// live on the Simulator, NOT in SimStats: stats must stay bit-identical
-  /// between the skipping and the oracle run, so the skip bookkeeping
-  /// cannot be part of the compared record.
+  /// Quiescent-cycle skip-ahead (on by default): when a cycle provably
+  /// changes nothing but monotone stall counters, jump `now` to the next
+  /// point the frozen state can change and replicate the per-cycle deltas
+  /// in closed form. Off simulates every cycle; it exists as the oracle
+  /// for differential tests — both must produce bit-identical SimStats
+  /// (tests/skip_ahead_test.cc, tests/config_fuzz_test.cc).
+  void set_skip_ahead(bool on) noexcept { skip_ahead_ = on; }
+
+  /// Skip-ahead telemetry. These live on the Simulator, NOT in SimStats:
+  /// stats must stay bit-identical between the skipping and the oracle
+  /// run, so the skip bookkeeping cannot be part of the compared record.
   [[nodiscard]] std::uint64_t cycles_skipped() const noexcept {
     return cycles_skipped_;
   }
   [[nodiscard]] std::uint64_t skip_episodes() const noexcept {
     return skip_episodes_;
-  }
-
-  /// Routes every hot policy query through the sealed per-kind switch
-  /// (default) or the virtual interface (the differential-test oracle).
-  /// Both modes must produce identical decisions — see
-  /// tests/policy_dispatch_test.cc.
-  void set_policy_devirtualized(bool on) noexcept {
-    policy_.set_devirtualized(on);
-  }
-  [[nodiscard]] bool policy_devirtualized() const noexcept {
-    return policy_.devirtualized();
   }
 
   /// Cross-checks every incrementally-maintained PipelineView counter
@@ -129,7 +124,7 @@ class Simulator {
   }
   [[nodiscard]] const steer::Steering& steering() const { return steering_; }
   [[nodiscard]] const policy::ResourceAssignmentPolicy& policy() const {
-    return policy_.impl();
+    return *policy_;
   }
   [[nodiscard]] const Rob& rob(ThreadId tid) const { return robs_[tid]; }
   [[nodiscard]] const policy::PipelineView& view() const noexcept {
@@ -175,12 +170,11 @@ class Simulator {
 
   /// Earliest cycle >= now_ with a pending event (wheel bucket or overflow
   /// heap), or Cycle max when none are pending. Stale records of squashed
-  /// µops count — they only make the answer conservatively early. O(1)
-  /// when next_event_hint_ is valid, else O(wheel distance to the first
-  /// non-empty bucket).
-  [[nodiscard]] Cycle next_event_cycle();
+  /// µops count — they only make the answer conservatively early.
+  /// O(wheel distance to the first non-empty bucket).
+  [[nodiscard]] Cycle next_event_cycle() const;
 
-  // --- Quiescent-cycle skip-ahead (SimConfig::skip_ahead) ---
+  // --- Quiescent-cycle skip-ahead (set_skip_ahead) ---
   /// Everything a quiescent cycle is allowed to touch, captured before the
   /// probe cycle and diffed after it. A probe whose delta fits the allowed
   /// shape proves the machine is frozen; the delta is then replicated in
@@ -245,32 +239,13 @@ class Simulator {
   void check_watchdog() const;
 
   // --- Pipeline stages ---
-  // The per-cycle stages and rename helpers are templated on the machine
-  // shape: step() dispatches once per cycle to the <2, 2> instantiation
-  // for the paper's two-thread/two-cluster machine (every cluster/thread
-  // loop unrolls, bounds constant-fold) or to the generic <0, 0> one for
-  // other shapes (bounds read from config_ as before). Both instantiate
-  // from the same definitions, so behavior is identical by construction.
-  template <int NC, int NT>
-  void step_cycle();
-  template <int NC, int NT>
   void commit_stage();
   void writeback_stage();
   void retry_blocked_loads();
-  template <int NC, int NT>
   void issue_stage();
-  template <int NC, int NT>
   void rename_stage();
-  template <int NT>
   void fetch_stage();
   void handle_flush_requests();
-
-  /// Loop bound: the compile-time shape when specialized (> 0), else the
-  /// runtime configuration value.
-  template <int N>
-  [[nodiscard]] static constexpr int bound_or(int runtime) noexcept {
-    return N > 0 ? N : runtime;
-  }
 
   // --- Rename helpers ---
   struct RenamePlan {
@@ -285,59 +260,20 @@ class Simulator {
     CopyPlan copies[2];
     bool off_preferred_iq = false;  // failed preferred cluster for IQ reasons
   };
-  /// Rename-plan memoization (SimConfig::rename_memo): caches the
-  /// steering-independent *shape* of a µop's copy plan — which clusters
-  /// need copies and the {arch, source-cluster} skeleton of each — keyed by
-  /// exactly the inputs the shape is a pure function of: the source arch
-  /// registers and their replica presence masks. The µop's pc is
-  /// deliberately NOT in the key: the derivation never reads it, and the
-  /// (src0, src1, mask0, mask1) domain is small and heavily skewed (hot
-  /// registers dominate), so one shared direct-mapped table hits where a
-  /// per-pc table would thrash. Pure function of the key, so the cache
-  /// needs no invalidation on squash or epoch and is safely shared across
-  /// threads; a colliding key simply refills the slot. Physical register
-  /// numbers, capacity checks and policy limits are never cached — those
-  /// stay live.
-  struct PlanMemoEntry {
-    std::int16_t src0 = -2;  // sentinel: never matches a real µop
-    std::int16_t src1 = -2;
-    std::uint8_t mask0 = 0;  // replica presence masks at memoization time
-    std::uint8_t mask1 = 0;
-    std::uint8_t copy_needed_mask = 0;  // bit c: >=1 copy needed in cluster c
-    std::uint8_t num_copies[kMaxClusters] = {};
-    struct CopySkeleton {
-      std::int16_t arch = -1;
-      std::int8_t from = -1;
-    };
-    CopySkeleton copies[kMaxClusters][2] = {};
-  };
-  static constexpr std::size_t kPlanMemoEntries = 512;  // power of two
-
   /// Attempts to rename+dispatch the front µop of `tid`; returns consumed
   /// rename bandwidth (1 + copies) or 0 when blocked. `forced` is the
   /// policy's forced cluster, hoisted per rename burst (it is a function of
   /// (scheme, tid) only).
-  template <int NC>
   int try_rename_front(ThreadId tid, ClusterId forced);
   /// `srcs[i]` is the prefetched replica set of fu.op.src{0,1} (nullptr for
   /// absent sources) — looked up once per µop and shared by the steering
-  /// vote and every per-cluster plan. `memo` (nullable) is the matching
-  /// memo entry: when set, the copy skeleton is replayed from it instead of
-  /// being re-derived from the replica sets (phys numbers still live).
-  template <int NC>
+  /// vote and every per-cluster plan.
   [[nodiscard]] bool plan_for_cluster(ThreadId tid,
                                       const frontend::FetchedUop& fu,
                                       const frontend::ReplicaSet* const
                                           srcs[2],
                                       ClusterId cluster, RenamePlan& plan,
-                                      bool& iq_failure, bool& rf_failure,
-                                      const PlanMemoEntry* memo = nullptr);
-  /// Memo lookup/fill for the front µop; returns the entry whose key
-  /// matches exactly (filling its slot on a miss). Only called when
-  /// config_.rename_memo is on.
-  const PlanMemoEntry* plan_memo_lookup(const frontend::FetchedUop& fu,
-                                        const frontend::ReplicaSet* const
-                                            srcs[2]);
+                                      bool& iq_failure, bool& rf_failure);
   /// Fast path of plan_for_cluster for the common case where every source
   /// already has a replica in `cluster` (no copies): same checks, same
   /// policy-query order, same failure flags — minus the copy bookkeeping.
@@ -389,7 +325,7 @@ class Simulator {
   std::unique_ptr<memory::MemoryHierarchy> hierarchy_;
   std::unique_ptr<memory::MemOrderBuffer> mob_;
   steer::Steering steering_;
-  policy::PolicyDispatch policy_;
+  std::unique_ptr<policy::ResourceAssignmentPolicy> policy_;
   std::vector<Rob> robs_;
 
   // Timing-wheel event queue. Every event is scheduled a bounded, known
@@ -411,14 +347,6 @@ class Simulator {
   /// next_event_cycle() skip the bucket scan entirely when the wheel is
   /// empty and stop at the first hit otherwise.
   std::size_t wheel_pending_ = 0;
-  /// Lower bound on the earliest pending event cycle; values <= now_ mean
-  /// "unknown". While valid (> now_), schedule() min-updates it, and
-  /// events are only ever removed by the drain at their exact due cycle —
-  /// so a valid hint IS the exact earliest pending cycle (a pending event
-  /// below it would have pushed it down; its own minimizer can only have
-  /// been drained once now_ reached it). A stale hint is left stale by
-  /// schedule() and refreshed by the scan in next_event_cycle().
-  Cycle next_event_hint_ = 0;
   std::vector<BlockedLoad> blocked_loads_;
   /// Bumped on every content change of blocked_loads_: a first-time
   /// block, and a retry pass that dropped any element (equal size implies
@@ -434,6 +362,7 @@ class Simulator {
   int outstanding_l2_[kMaxThreads] = {};
   IssueModel issue_model_ = IssueModel::kWakeup;
   EventModel event_model_ = EventModel::kWheel;
+  bool skip_ahead_ = true;
   ThreadId commit_rr_ = 0;
   Cycle last_commit_cycle_ = 0;
   CommitHook commit_hook_;
@@ -448,11 +377,6 @@ class Simulator {
   /// cost on workloads that look idle for a cycle while work is in flight.
   Cycle skip_retry_at_ = 0;
   Cycle skip_backoff_ = 0;
-
-  /// Plan-shape memo (SimConfig::rename_memo); allocated lazily on first
-  /// use so disabled runs pay nothing. Shared across threads: the plan is
-  /// a pure function of the key, so cross-thread hits are sound.
-  std::vector<PlanMemoEntry> plan_memo_;
 
   SimStats stats_;
 };

@@ -18,23 +18,20 @@ ReplicaSet RenameMap::define(int arch, ClusterId cluster, std::int16_t phys) {
   ReplicaSet previous = map_[arch];
   ReplicaSet fresh;
   fresh.phys[cluster] = phys;
-  fresh.mask = static_cast<std::uint8_t>(1u << cluster);
   map_[arch] = fresh;
-  return previous;  // carries its own mask; restore() reinstates it whole
+  return previous;
 }
 
 void RenameMap::add_replica(int arch, ClusterId cluster, std::int16_t phys) {
   assert(is_valid_arch_reg(arch));
   assert(!map_[arch].present(cluster) && "replica already present");
   map_[arch].phys[cluster] = phys;
-  map_[arch].mask |= static_cast<std::uint8_t>(1u << cluster);
 }
 
 void RenameMap::remove_replica(int arch, ClusterId cluster) {
   assert(is_valid_arch_reg(arch));
   assert(map_[arch].present(cluster));
   map_[arch].phys[cluster] = -1;
-  map_[arch].mask &= static_cast<std::uint8_t>(~(1u << cluster));
 }
 
 void RenameMap::restore(int arch, const ReplicaSet& previous) {

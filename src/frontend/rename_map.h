@@ -20,14 +20,8 @@
 namespace clusmt::frontend {
 
 /// One physical register per cluster; -1 = no replica in that cluster.
-/// `mask` mirrors the phys array (bit c set ⟺ phys[c] >= 0); RenameMap
-/// maintains it on every mutation. The loop accessors below stay the
-/// reference implementation — the simulator's rename-memo fast paths
-/// (SimConfig::rename_memo) read the mask instead, and the two must agree
-/// bit for bit (tests/skip_ahead_test.cc diffs the modes end to end).
 struct ReplicaSet {
   std::array<std::int16_t, kMaxClusters> phys = {-1, -1, -1, -1};
-  std::uint8_t mask = 0;
 
   [[nodiscard]] bool present(ClusterId c) const noexcept {
     return phys[c] >= 0;

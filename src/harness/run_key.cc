@@ -71,12 +71,6 @@ void hash_config(Fnv1a& h, const core::SimConfig& c) {
   h.add(c.policy_config.unready_gate_fraction);
 
   h.add(c.watchdog_cycles);
-
-  // Behavior-preserving fast paths still key the cache: a cached result
-  // produced with a differential knob off must not satisfy a lookup with
-  // it on (the whole point of the oracle runs is an independent rerun).
-  h.add(static_cast<int>(c.skip_ahead));
-  h.add(static_cast<int>(c.rename_memo));
 }
 
 void hash_trace(Fnv1a& h, const trace::TraceSpec& spec) {

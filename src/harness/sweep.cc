@@ -38,8 +38,6 @@ std::vector<ConfigPoint> SweepSpec::expand_points() const {
     while (!done) {
       ConfigPoint point;
       point.config = base;
-      point.config.skip_ahead = skip_ahead;
-      point.config.rename_memo = rename_memo;
       std::vector<std::string> parts;
       parts.reserve(axes.size());
       for (std::size_t a = 0; a < axes.size(); ++a) {
@@ -59,11 +57,7 @@ std::vector<ConfigPoint> SweepSpec::expand_points() const {
       }
     }
   }
-  for (ConfigPoint point : points) {
-    point.config.skip_ahead = skip_ahead;
-    point.config.rename_memo = rename_memo;
-    out.push_back(std::move(point));
-  }
+  out.insert(out.end(), points.begin(), points.end());
   return out;
 }
 

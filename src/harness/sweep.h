@@ -81,15 +81,6 @@ struct SweepSpec {
   Cycle cycles = 0;
   Cycle warmup = 0;
 
-  /// Model fast-path oracle switches (SimConfig::{skip_ahead,
-  /// rename_memo}), stamped onto every expanded point — base-derived and
-  /// explicit alike — *before* axis mutators run, so the bench-wide
-  /// --no-skip-ahead/--no-rename-memo flags flip the whole grid while an
-  /// axis can still override per point. Results are bit-identical either
-  /// way; the flags exist to rerun a grid against the per-cycle oracle.
-  bool skip_ahead = true;
-  bool rename_memo = true;
-
   /// Also run single-thread baselines (shared across points through the
   /// cache) and fill RunResult::fairness for every cell.
   bool with_fairness = false;

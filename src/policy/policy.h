@@ -10,16 +10,6 @@
 //
 // The default rename selection is Icount [1]: the thread with the fewest
 // instructions between rename and issue.
-//
-// Dispatch contract: the simulator routes the hot per-µop queries through
-// the sealed switch in policy/dispatch.h (one case per PolicyKind,
-// non-virtual qualified calls), keeping this virtual interface for
-// configuration time and the cold event paths. Adding a PolicyKind, or
-// overriding one of the hot queries (eligibility, selection, allow_*,
-// forced_cluster, begin_cycle, flush_request) in a policy class, requires
-// the matching case in PolicyDispatch — tests/policy_dispatch_test.cc
-// diffs the two dispatch modes across every scheme and fails on any
-// divergence.
 #pragma once
 
 #include <cstdint>
@@ -133,9 +123,7 @@ class ResourceAssignmentPolicy {
   // monotone stall counters, it skips them and calls quiesce() once in
   // their place. The contract: quiesce(view, from, to) must leave the
   // policy in exactly the state `to - from` begin_cycle calls over the
-  // frozen view would have — the default replays them literally; policies
-  // with a closed form (CDPRF) override. These fire per skip episode, not
-  // per µop, so they stay on the virtual cold path (no dispatch.h case).
+  // frozen view would have — the default replays them literally.
 
   /// Replays the per-cycle bookkeeping for the skipped cycles [from, to).
   virtual void quiesce(const PipelineView& view, Cycle from, Cycle to);

@@ -91,31 +91,6 @@ void CdprfPolicy::begin_cycle(const PipelineView& view) {
   }
 }
 
-void CdprfPolicy::quiesce(const PipelineView& view, Cycle from, Cycle to) {
-  if (!started_ || to <= from) return;
-  // Replays Figure 7's per-cycle accumulation for the k skipped cycles in
-  // closed form. The view is frozen (occupancies and rf_blocked fixed) and
-  // quiesce_horizon keeps [from, to) inside the current interval, so no
-  // rollover can fire: on a blocked class the starvation counter runs
-  // s0+1 .. s0+k and RFOC gains k*used + k*s0 + k(k+1)/2; otherwise
-  // starvation pins at zero and RFOC gains k*used.
-  const std::uint64_t k = to - from;
-  for (ThreadId t = 0; t < view.num_threads; ++t) {
-    for (int c = 0; c < kNumRegClasses; ++c) {
-      PerThreadClass& s = state_[t][c];
-      const auto used = static_cast<std::uint64_t>(
-          view.rf_used_total(t, static_cast<RegClass>(c)));
-      if (view.rf_blocked[t][c]) {
-        s.rfoc += k * used + k * s.starvation + k * (k + 1) / 2;
-        s.starvation += k;
-      } else {
-        s.starvation = 0;
-        s.rfoc += k * used;
-      }
-    }
-  }
-}
-
 Cycle CdprfPolicy::quiesce_horizon(Cycle now) const {
   if (!started_) return now;
   return interval_start_ + config_.cdprf_interval;

@@ -54,10 +54,6 @@ class CdprfPolicy final : public CsspPolicy {
 
   void begin_cycle(const PipelineView& view) override;
 
-  /// Closed form of `to - from` begin_cycle calls over a frozen view: the
-  /// starvation counter ramps linearly on a blocked class, so the RFOC
-  /// integral is quadratic-in-k triangular, not k times one delta.
-  void quiesce(const PipelineView& view, Cycle from, Cycle to) override;
   /// Skips must not cross the 128K-cycle interval boundary — rollover
   /// rewrites every threshold and needs to run on a live cycle.
   [[nodiscard]] Cycle quiesce_horizon(Cycle now) const override;

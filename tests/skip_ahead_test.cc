@@ -1,22 +1,17 @@
-// Differential oracles for the two model-level fast paths of
-// SimConfig::{skip_ahead, rename_memo}:
+// Differential oracle for quiescent-cycle skip-ahead: when a cycle provably
+// changes nothing but monotone stall counters, the core jumps `now` to the
+// next event horizon and replicates the per-cycle deltas in closed form.
+// Skipping must leave SimStats bit-identical to simulating every cycle.
 //
-//  * Quiescent-cycle skip-ahead — when a cycle provably changes nothing
-//    but monotone stall counters, the core jumps `now` to the next event
-//    horizon and replicates the per-cycle deltas in closed form. Skipping
-//    must leave SimStats bit-identical to simulating every cycle.
-//  * Rename-plan memoization — replica presence masks plus a per-thread
-//    plan-shape cache replace the per-µop copy-plan rederivation. A pure
-//    cache: every rename decision must be bit-identical.
-//
-// Both default ON; the OFF build is the oracle. The matrix covers every
-// resource-assignment scheme crossed with machine shape (2T bounded /
-// unbounded RF, SMT4), workload flavour (mem-heavy, ilp, squash-heavy),
-// heterogeneous cluster grids, and a main-memory latency past the timing
-// wheel's span so skips must consult the overflow heap across multiple
-// wheel wraps.
+// Skip-ahead is always on; Simulator::set_skip_ahead(false) is the oracle.
+// The matrix covers every resource-assignment scheme crossed with machine
+// shape (2T bounded / unbounded RF, SMT4), workload flavour (mem-heavy,
+// ilp, squash-heavy), heterogeneous cluster grids, and a main-memory
+// latency past the timing wheel's span so skips must consult the overflow
+// heap across multiple wheel wraps.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -25,47 +20,10 @@
 #include "harness/presets.h"
 #include "policy/policy.h"
 #include "trace/workload.h"
+#include "stats_equal.h"
 
 namespace clusmt::core {
 namespace {
-
-/// Field-by-field SimStats equality with a readable failure message.
-void expect_stats_equal(const SimStats& a, const SimStats& b,
-                        const std::string& label) {
-#define CLUSMT_EXPECT_FIELD(field) \
-  EXPECT_EQ(a.field, b.field) << label << ": SimStats::" #field " diverged"
-  CLUSMT_EXPECT_FIELD(cycles);
-  for (int t = 0; t < kMaxThreads; ++t) CLUSMT_EXPECT_FIELD(committed[t]);
-  CLUSMT_EXPECT_FIELD(committed_copies);
-  CLUSMT_EXPECT_FIELD(committed_branches);
-  CLUSMT_EXPECT_FIELD(committed_loads);
-  CLUSMT_EXPECT_FIELD(committed_stores);
-  CLUSMT_EXPECT_FIELD(renamed_uops);
-  CLUSMT_EXPECT_FIELD(copies_created);
-  CLUSMT_EXPECT_FIELD(rename_cycles);
-  CLUSMT_EXPECT_FIELD(rename_blocked_cycles);
-  CLUSMT_EXPECT_FIELD(rename_block_iq);
-  CLUSMT_EXPECT_FIELD(rename_block_rf);
-  CLUSMT_EXPECT_FIELD(rename_block_rob);
-  CLUSMT_EXPECT_FIELD(rename_block_mob);
-  CLUSMT_EXPECT_FIELD(iq_pref_stall_events);
-  CLUSMT_EXPECT_FIELD(non_preferred_dispatches);
-  CLUSMT_EXPECT_FIELD(issued_uops);
-  CLUSMT_EXPECT_FIELD(cycles_with_issue);
-  for (int i = 0; i < 2; ++i) {
-    for (int k = 0; k < trace::kNumPortClasses; ++k) {
-      CLUSMT_EXPECT_FIELD(imbalance_events[i][k]);
-    }
-  }
-  CLUSMT_EXPECT_FIELD(squashed_uops);
-  CLUSMT_EXPECT_FIELD(branches_resolved);
-  CLUSMT_EXPECT_FIELD(mispredicts_resolved);
-  CLUSMT_EXPECT_FIELD(policy_flushes);
-  CLUSMT_EXPECT_FIELD(load_l2_misses);
-  CLUSMT_EXPECT_FIELD(store_l2_misses);
-  CLUSMT_EXPECT_FIELD(load_forwards);
-#undef CLUSMT_EXPECT_FIELD
-}
 
 enum class Flavour { kMemHeavy, kIlp, kSquashHeavy };
 
@@ -81,7 +39,7 @@ const char* flavour_name(Flavour f) {
 /// Pool traces of the requested flavour. Mem-heavy threads stall together
 /// on L2 misses (the quiescent windows skip-ahead targets); ilp threads
 /// rarely quiesce (skip attempts must bail harmlessly); squash-heavy
-/// threads exercise undo of memoized plans and event teardown mid-skip.
+/// threads exercise undo and event teardown mid-skip.
 std::vector<trace::TraceSpec> make_threads(int num_threads, Flavour flavour,
                                            std::uint64_t seed) {
   const trace::TracePool pool(seed);
@@ -114,52 +72,44 @@ struct RunOutcome {
   std::uint64_t skip_episodes = 0;
 };
 
-RunOutcome run_once(const SimConfig& config,
-                    const std::vector<trace::TraceSpec>& threads, Cycle warmup,
-                    Cycle cycles) {
-  Simulator sim(config);
+void attach_threads(Simulator& sim,
+                    const std::vector<trace::TraceSpec>& threads) {
   for (std::size_t t = 0; t < threads.size(); ++t) {
     sim.attach_thread(static_cast<ThreadId>(t), threads[t]);
   }
+}
+
+void expect_machine_consistent(const Simulator& sim) {
+  EXPECT_TRUE(sim.validate_view());
+  for (int c = 0; c < sim.config().num_clusters; ++c) {
+    EXPECT_TRUE(sim.cluster(c).iq().validate());
+  }
+}
+
+RunOutcome run_once(const SimConfig& config,
+                    const std::vector<trace::TraceSpec>& threads,
+                    bool skip_ahead, Cycle warmup, Cycle cycles) {
+  Simulator sim(config);
+  sim.set_skip_ahead(skip_ahead);
+  attach_threads(sim, threads);
   sim.run(warmup);
   sim.reset_stats();
   sim.run(cycles);
-  EXPECT_TRUE(sim.validate_view());
-  for (int c = 0; c < config.num_clusters; ++c) {
-    EXPECT_TRUE(sim.cluster(c).iq().validate());
-  }
+  expect_machine_consistent(sim);
   return {sim.stats(), sim.cycles_skipped(), sim.skip_episodes()};
 }
 
-/// Runs `config` with both fast paths ON (the shipping default) and with
-/// both OFF (the oracle), expecting bit-identical SimStats. Also checks
-/// each feature alone, so a bug in one cannot hide behind the other.
-/// Returns the ON run's skip tally for activity assertions.
-RunOutcome expect_modes_agree(SimConfig config,
+/// Runs `config` once with skip-ahead (the shipping default) and once
+/// without (the oracle), expecting bit-identical SimStats. Returns the
+/// skipping run's outcome for activity assertions.
+RunOutcome expect_modes_agree(const SimConfig& config,
                               const std::vector<trace::TraceSpec>& threads,
                               const std::string& label, Cycle warmup = 500,
                               Cycle cycles = 4000) {
-  config.skip_ahead = true;
-  config.rename_memo = true;
-  const RunOutcome fast = run_once(config, threads, warmup, cycles);
-
-  SimConfig oracle = config;
-  oracle.skip_ahead = false;
-  oracle.rename_memo = false;
-  const RunOutcome ref = run_once(oracle, threads, warmup, cycles);
-  expect_stats_equal(fast.stats, ref.stats, label + "/both-vs-none");
-  EXPECT_EQ(ref.cycles_skipped, 0u)
-      << label << ": oracle must never skip";
-
-  SimConfig skip_only = config;
-  skip_only.rename_memo = false;
-  expect_stats_equal(run_once(skip_only, threads, warmup, cycles).stats,
-                     ref.stats, label + "/skip-only");
-
-  SimConfig memo_only = config;
-  memo_only.skip_ahead = false;
-  expect_stats_equal(run_once(memo_only, threads, warmup, cycles).stats,
-                     ref.stats, label + "/memo-only");
+  const RunOutcome fast = run_once(config, threads, true, warmup, cycles);
+  const RunOutcome ref = run_once(config, threads, false, warmup, cycles);
+  expect_stats_equal(fast.stats, ref.stats, label);
+  EXPECT_EQ(ref.cycles_skipped, 0u) << label << ": oracle must never skip";
   return fast;
 }
 
@@ -201,7 +151,7 @@ TEST(SkipAheadDifferential, AllSchemesAcrossMachinesAndFlavours) {
 TEST(SkipAheadDifferential, HeterogeneousShapes) {
   // Asymmetric grid: a wide cluster 0 vs a narrow cluster 1, asymmetric
   // link latencies. Exercises capacity-scaled steering and per-cluster
-  // overrides under both fast paths.
+  // overrides while skipping.
   SimConfig base = harness::rf_study_config(64);
   base.shape[0] = ClusterShape{.issue_width = 4, .iq_entries = 48,
                                .int_regs = 96, .fp_regs = 96};
@@ -234,18 +184,40 @@ TEST(SkipAheadDifferential, LongMemoryLatencyForcesMultiBucketJumps) {
   SimConfig config = harness::rf_study_config(64);
   config.memory.memory_latency = 2500;
   const auto threads = make_threads(2, Flavour::kMemHeavy, /*seed=*/7);
-  const RunOutcome fast =
-      expect_modes_agree(config, threads, "slow-mem", /*warmup=*/1000,
-                         /*cycles=*/20000);
-  EXPECT_GT(fast.stats.load_l2_misses, 0u)
+  constexpr Cycle kWarmup = 1000;
+  constexpr Cycle kCycles = 20000;
+  constexpr Cycle kWheelSpan = 1024;
+  // A skip never crosses the end of a run() call, so in a chunk only
+  // slightly longer than the wheel span, a delta of exactly one episode
+  // skipping more than the span is one single jump past it.
+  constexpr Cycle kChunk = 1100;
+
+  Simulator sim(config);
+  attach_threads(sim, threads);
+  sim.run(kWarmup);
+  sim.reset_stats();
+  int long_jump_chunks = 0;
+  for (Cycle done = 0; done < kCycles;) {
+    const Cycle chunk = std::min(kChunk, kCycles - done);
+    const std::uint64_t skipped = sim.cycles_skipped();
+    const std::uint64_t episodes = sim.skip_episodes();
+    sim.run(chunk);
+    done += chunk;
+    if (sim.skip_episodes() - episodes == 1 &&
+        sim.cycles_skipped() - skipped > kWheelSpan) {
+      ++long_jump_chunks;
+    }
+  }
+  expect_machine_consistent(sim);
+  EXPECT_GT(sim.stats().load_l2_misses, 0u)
       << "no L2 misses: the long-latency path was never exercised";
-  EXPECT_GT(fast.cycles_skipped, 0u) << "slow-mem run never skipped";
-  EXPECT_GT(fast.skip_episodes, 0u);
-  // At least one jump must have been longer than the wheel span, proving
-  // the horizon consulted the overflow heap across bucket wraps (mean
-  // episode length alone suffices: total/episodes > span is only possible
-  // if some single jump exceeded it).
-  EXPECT_GT(fast.cycles_skipped / fast.skip_episodes, 0u);
+  EXPECT_GT(long_jump_chunks, 0)
+      << "no single jump exceeded the " << kWheelSpan << "-cycle wheel span";
+
+  // Chunking changes where skips may end, never the result.
+  const RunOutcome ref =
+      run_once(config, threads, /*skip_ahead=*/false, kWarmup, kCycles);
+  expect_stats_equal(sim.stats(), ref.stats, "slow-mem/chunked");
 }
 
 TEST(SkipAheadDifferential, WatchdogFiresIdenticallyWhenSkipping) {
@@ -257,13 +229,9 @@ TEST(SkipAheadDifferential, WatchdogFiresIdenticallyWhenSkipping) {
   config.watchdog_cycles = 600;
   const auto threads = make_threads(2, Flavour::kMemHeavy, /*seed=*/7);
   auto run_to_trap = [&](bool fast) -> std::string {
-    SimConfig c = config;
-    c.skip_ahead = fast;
-    c.rename_memo = fast;
-    Simulator sim(c);
-    for (std::size_t t = 0; t < threads.size(); ++t) {
-      sim.attach_thread(static_cast<ThreadId>(t), threads[t]);
-    }
+    Simulator sim(config);
+    sim.set_skip_ahead(fast);
+    attach_threads(sim, threads);
     try {
       sim.run(100000);
     } catch (const std::runtime_error& e) {
