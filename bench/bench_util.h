@@ -3,7 +3,7 @@
 // sweep engine (harness/sweep.h); a bench declares a SweepSpec, calls
 // run_sweep, shapes the cells into per-workload series and emits them.
 //
-// Common flags (all benches):
+// Common flags (all benches; a negative count is a usage error, exit 2):
 //   --cycles N     simulated cycles per run (default per bench)
 //   --warmup N     warmup cycles before stats reset
 //   --full         run the full 120-workload suite (default: quick subset)
@@ -16,17 +16,17 @@
 //                  unions (README "Splitting a sweep across hosts")
 //   --list         print the selected suite and exit
 //   --csv PATH     also write the table as CSV
-//   --json PATH    also write the table as JSON
+//   --json PATH    also write the table as JSON (bench/golden/ holds these
+//                  renderings; tools/run_golden_suite.sh regenerates them)
 //   --jobs N       host threads (default: all cores)
 //   --cache-dir D  persist finished runs under D and reuse them across
 //                  invocations (falls back to $CLUSMT_CACHE_DIR)
-//   --golden-emit PATH  also write the table as golden JSON (the format
-//                  tools/golden_diff compares; see bench/golden/)
 #pragma once
 
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -57,28 +57,27 @@ struct BenchOptions {
   bool list = false;
   std::string csv_path;
   std::string json_path;
-  std::string golden_path;
   std::string cache_dir;
   std::size_t jobs = 0;
 
   static BenchOptions parse(int argc, char** argv, Cycle default_cycles,
                             Cycle default_warmup = 50000) {
     const CliArgs args(argc, argv);
+    constexpr std::int64_t kIntMax = std::numeric_limits<int>::max();
     BenchOptions opt;
-    opt.cycles = static_cast<Cycle>(
-        args.get_int("cycles", static_cast<std::int64_t>(default_cycles)));
-    opt.warmup = static_cast<Cycle>(
-        args.get_int("warmup", static_cast<std::int64_t>(default_warmup)));
+    opt.cycles = static_cast<Cycle>(args.get_int(
+        "cycles", static_cast<std::int64_t>(default_cycles), 0));
+    opt.warmup = static_cast<Cycle>(args.get_int(
+        "warmup", static_cast<std::int64_t>(default_warmup), 0));
     opt.full = args.get_bool("full", false);
-    opt.per_type = static_cast<int>(args.get_int("per-type", 1));
-    opt.mixes = static_cast<int>(args.get_int("mixes", 8));
+    opt.per_type = static_cast<int>(args.get_int("per-type", 1, 0, kIntMax));
+    opt.mixes = static_cast<int>(args.get_int("mixes", 8, 0, kIntMax));
     opt.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
     opt.filter = args.get_string("filter", "");
     opt.list = args.get_bool("list", false);
     opt.csv_path = args.get_string("csv", "");
     opt.json_path = args.get_string("json", "");
-    opt.golden_path = args.get_string("golden-emit", "");
-    opt.jobs = static_cast<std::size_t>(args.get_int("jobs", 0));
+    opt.jobs = static_cast<std::size_t>(args.get_int("jobs", 0, 0));
     opt.cache_dir = args.get_string("cache-dir", "");
     if (opt.cache_dir.empty()) {
       if (const char* env = std::getenv("CLUSMT_CACHE_DIR")) {
@@ -152,13 +151,13 @@ struct BenchOptions {
   return axis;
 }
 
-/// Mirrors a finished table to --csv/--json/--golden-emit when given, with
-/// uniform success/failure diagnostics. Every bench that renders a custom
-/// TableDoc calls this instead of hand-rolling the write block. All writes
-/// are attempted; any failure then exits(1) so callers (notably
+/// Mirrors a finished table to --csv/--json when given, with uniform
+/// success/failure diagnostics. Every bench that renders a custom Table
+/// calls this instead of hand-rolling the write block. Both writes are
+/// attempted; any failure then exits(1) so callers (notably
 /// tools/run_golden_suite.sh under set -e) never mistake a failed
 /// regeneration for a refreshed artifact.
-inline void emit_doc(const harness::TableDoc& doc, const BenchOptions& opt) {
+inline void emit_doc(const Table& doc, const BenchOptions& opt) {
   bool failed = false;
   const auto write = [&](const std::string& path, bool as_json,
                          const char* what) {
@@ -173,7 +172,6 @@ inline void emit_doc(const harness::TableDoc& doc, const BenchOptions& opt) {
   };
   write(opt.csv_path, false, "CSV");
   write(opt.json_path, true, "JSON");
-  write(opt.golden_path, true, "golden JSON");
   if (failed) std::exit(1);
 }
 
@@ -184,8 +182,7 @@ inline void emit_category_table(
     const std::string& title, const std::vector<trace::WorkloadSpec>& suite,
     const std::vector<std::pair<std::string, std::vector<double>>>& series,
     const BenchOptions& opt, int precision = 3) {
-  const harness::TableDoc doc =
-      harness::category_table(suite, series, precision);
+  const Table doc = harness::category_table(suite, series, precision);
 
   std::printf(
       "%s\n(workloads: %zu%s, %llu warmup + %llu measured cycles/run, "

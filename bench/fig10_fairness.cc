@@ -12,7 +12,7 @@ int main(int argc, char** argv) {
   const bench::BenchOptions opt = bench::BenchOptions::parse(
       argc, argv, /*default_cycles=*/200000, /*default_warmup=*/80000);
   const CliArgs args(argc, argv);
-  const Cycle interval = static_cast<Cycle>(args.get_int("interval", 32768));
+  const Cycle interval = static_cast<Cycle>(args.get_int("interval", 32768, 0));
   const auto suite = opt.suite();
   if (opt.handle_list(suite)) return 0;
 

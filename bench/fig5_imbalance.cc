@@ -29,9 +29,8 @@ int main(int argc, char** argv) {
 
   const harness::SweepResult res = harness::run_sweep(spec);
 
-  harness::TableDoc doc;
-  doc.header = {"category/scheme", "0 Integer", "0 Fp/Simd", "0 Mem",
-                "1 Integer",       "1 Fp/Simd", "1 Mem"};
+  Table doc({"category/scheme", "0 Integer", "0 Fp/Simd", "0 Mem",
+             "1 Integer", "1 Fp/Simd", "1 Mem"});
 
   for (std::size_t p = 0; p < res.points.size(); ++p) {
     const auto& results = res.cells[p];

@@ -21,7 +21,7 @@ int main(int argc, char** argv) {
   const bench::BenchOptions opt = bench::BenchOptions::parse(
       argc, argv, /*default_cycles=*/200000, /*default_warmup=*/80000);
   const CliArgs args(argc, argv);
-  const Cycle interval = static_cast<Cycle>(args.get_int("interval", 32768));
+  const Cycle interval = static_cast<Cycle>(args.get_int("interval", 32768, 0));
 
   const auto all = opt.suite();
   if (opt.handle_list(all)) return 0;
@@ -60,11 +60,11 @@ int main(int argc, char** argv) {
   const auto grid = run_grid(ispec_fspec);
   const auto grid_all = run_grid(all);
 
-  harness::TableDoc doc;
-  doc.header = {"workload"};
+  std::vector<std::string> header = {"workload"};
   for (policy::PolicyKind kind : schemes) {
-    doc.header.push_back(std::string(policy::policy_kind_name(kind)));
+    header.push_back(std::string(policy::policy_kind_name(kind)));
   }
+  Table doc(std::move(header));
 
   auto add_row = [&](const std::string& label,
                      const std::vector<double>& values) {

@@ -14,7 +14,7 @@ int main(int argc, char** argv) {
   const bench::BenchOptions opt = bench::BenchOptions::parse(
       argc, argv, /*default_cycles=*/200000, /*default_warmup=*/80000);
   const CliArgs args(argc, argv);
-  const Cycle interval = static_cast<Cycle>(args.get_int("interval", 32768));
+  const Cycle interval = static_cast<Cycle>(args.get_int("interval", 32768, 0));
   const auto suite = opt.suite();
   if (opt.handle_list(suite)) return 0;
 
@@ -41,8 +41,7 @@ int main(int argc, char** argv) {
   const double fair_cssp =
       mean_of(harness::ratio_to_baseline(res.fairness(cssp), icount_fair));
 
-  harness::TableDoc doc;
-  doc.header = {"claim", "paper", "measured"};
+  Table doc({"claim", "paper", "measured"});
   doc.add_row({"CDPRF throughput speedup vs Icount", "+17.6%",
                format_double(100.0 * (thr_cdprf - 1.0), 1) + "%"});
   doc.add_row({"CDPRF fairness improvement vs Icount", "+24%",

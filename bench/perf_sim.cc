@@ -32,6 +32,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -140,18 +141,10 @@ bool parse_ref_json(const std::string& path,
 
 int main(int argc, char** argv) {
   const CliArgs args(argc, argv);
-  const std::int64_t cycles_arg = args.get_int("cycles", 100000);
-  const std::int64_t warmup_arg = args.get_int("warmup", 20000);
-  const std::int64_t repeat_arg = args.get_int("repeat", 3);
-  if (cycles_arg < 1 || warmup_arg < 0 || repeat_arg < 1) {
-    std::fprintf(stderr,
-                 "error: --cycles must be >= 1, --warmup >= 0, "
-                 "--repeat >= 1\n");
-    return 2;
-  }
-  const Cycle cycles = static_cast<Cycle>(cycles_arg);
-  const Cycle warmup = static_cast<Cycle>(warmup_arg);
-  const int repeat = static_cast<int>(repeat_arg);
+  const auto cycles = static_cast<Cycle>(args.get_int("cycles", 100000, 1));
+  const auto warmup = static_cast<Cycle>(args.get_int("warmup", 20000, 0));
+  const int repeat = static_cast<int>(
+      args.get_int("repeat", 3, 1, std::numeric_limits<int>::max()));
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
   const std::string csv_path = args.get_string("csv", "");
   const std::string json_path = args.get_string("json", "");
@@ -222,11 +215,8 @@ int main(int argc, char** argv) {
     std::remove(ref_json.c_str());
   }
 
-  harness::TableDoc doc;
-  doc.header = {"scheme",        "workload",
-                "sim_kcycles",   "best_wall_ms",
-                "kcycles_per_s", "commit_kuops_per_s",
-                "skip_pct"};
+  Table doc({"scheme", "workload", "sim_kcycles", "best_wall_ms",
+             "kcycles_per_s", "commit_kuops_per_s", "skip_pct"});
 
   const double kcycles = static_cast<double>(cycles) / 1000.0;
   double total_wall = 0.0;
@@ -270,9 +260,8 @@ int main(int argc, char** argv) {
 
   if (!ab_cmd.empty()) {
     // Per-cell A/B delta: reference median beside this binary's median.
-    harness::TableDoc delta;
-    delta.header = {"scheme", "workload", "ref_kcycles_per_s",
-                    "new_kcycles_per_s", "speedup"};
+    Table delta({"scheme", "workload", "ref_kcycles_per_s",
+                 "new_kcycles_per_s", "speedup"});
     double ref_total = 0.0;
     double new_total = 0.0;
     bool missing = false;

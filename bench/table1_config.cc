@@ -42,7 +42,7 @@ int main(int argc, char** argv) {
   core::SimConfig c = harness::paper_baseline();
   harness::apply_shape_flags(args, c);
 
-  TextTable table({"Parameter", "Value", "Parameter", "Value"});
+  Table table({"Parameter", "Value", "Parameter", "Value"});
   auto row = [&](const std::string& a, const std::string& av,
                  const std::string& b, const std::string& bv) {
     table.add_row({a, av, b, bv});
@@ -77,12 +77,12 @@ int main(int argc, char** argv) {
       "Clusters", std::to_string(c.num_clusters));
 
   std::printf("Table 1 — Baseline processor configuration\n\n%s\n",
-              table.render().c_str());
+              table.render_text().c_str());
 
   // Per-cluster effective shape: each field resolves zero-means-inherit
   // against the scalars above, so a homogeneous machine prints identical
   // rows and a shaped one shows exactly what each cluster got.
-  TextTable shape({"Cluster", "Issue ports", "IQ", "Int regs", "FP regs"});
+  Table shape({"Cluster", "Issue ports", "IQ", "Int regs", "FP regs"});
   for (int cl = 0; cl < c.num_clusters; ++cl) {
     shape.add_row({std::to_string(cl),
                    port_mix(c.effective_issue_width(cl)),
@@ -91,9 +91,9 @@ int main(int argc, char** argv) {
                    std::to_string(c.effective_fp_regs(cl))});
   }
   std::printf("Per-cluster shape (zero-means-inherit resolved)\n\n%s\n",
-              shape.render().c_str());
+              shape.render_text().c_str());
 
-  TextTable links({"Link latency", "to ..."});
+  Table links({"Link latency", "to ..."});
   for (int from = 0; from < c.num_clusters; ++from) {
     std::string latencies;
     for (int to = 0; to < c.num_clusters; ++to) {
@@ -103,7 +103,7 @@ int main(int argc, char** argv) {
     links.add_row({"from " + std::to_string(from), latencies});
   }
   std::printf("Inter-cluster copy latency matrix\n\n%s\n",
-              links.render().c_str());
+              links.render_text().c_str());
 
   // Verify the defaults actually match the paper — against a pristine
   // baseline, so shape flags change what is printed, never the verdict.

@@ -73,7 +73,7 @@ int main(int argc, char** argv) {
     if (opt.handle_list(suite)) return 0;
     std::map<std::string, std::map<std::string, int>> counts;
     for (const auto& w : suite) ++counts[w.category][w.type];
-    TextTable table({"Category", "ILP", "MEM", "MIX", "#wkloads"});
+    Table table({"Category", "ILP", "MEM", "MIX", "#wkloads"});
     for (const auto& category : trace::category_display_order()) {
       const auto it = counts.find(category);
       if (it == counts.end()) continue;
@@ -88,26 +88,27 @@ int main(int argc, char** argv) {
     }
     std::printf(
         "Table 2 — Benchmark suite (%zu two-threaded workloads)\n\n%s\n",
-        suite.size(), table.render().c_str());
+        suite.size(), table.render_text().c_str());
   }
 
-  // Part 2: measured characterisation of the trace pool, fanned out as one
-  // bulk submission on the shared worker pool.
+  // Part 2: measured characterisation of the trace pool, one trace per
+  // parallel_for index. The printed table has display headers; --csv/--json
+  // get the same cells under machine-friendly column names.
   {
     trace::TracePool pool(opt.seed);
     const auto& traces = pool.all();
     std::vector<TraceCharacter> chars(traces.size());
-    ThreadPool workers(opt.jobs);
-    auto done = workers.submit_bulk(traces.size(), [&](std::size_t i) {
-      chars[i] = characterise(traces[i], opt.warmup, opt.cycles);
-    });
-    for (auto& f : done) f.get();
+    parallel_for(
+        traces.size(),
+        [&](std::size_t i) {
+          chars[i] = characterise(traces[i], opt.warmup, opt.cycles);
+        },
+        opt.jobs);
 
-    harness::TableDoc doc;
-    doc.header = {"trace", "ipc", "l1_miss", "l2_miss", "l2_mpki",
-                  "bp_misp", "tc_hit", "copies"};
-    TextTable table({"trace", "IPC", "L1 miss", "L2 miss", "L2 MPKI",
-                     "BP misp", "TC hit", "copies"});
+    Table doc({"trace", "ipc", "l1_miss", "l2_miss", "l2_mpki", "bp_misp",
+               "tc_hit", "copies"});
+    Table table({"trace", "IPC", "L1 miss", "L2 miss", "L2 MPKI", "BP misp",
+                 "TC hit", "copies"});
     for (std::size_t i = 0; i < traces.size(); ++i) {
       const auto& c = chars[i];
       std::vector<std::string> cells = {
@@ -120,7 +121,7 @@ int main(int argc, char** argv) {
     }
     std::printf("Trace pool characterisation (single-thread, %llu cycles)\n\n%s\n",
                 static_cast<unsigned long long>(opt.cycles),
-                table.render().c_str());
+                table.render_text().c_str());
     bench::emit_doc(doc, opt);
   }
   return 0;

@@ -15,7 +15,7 @@
 #include "common/table.h"
 #include "core/simulator.h"
 #include "harness/presets.h"
-#include "harness/runner.h"
+#include "harness/sweep.h"
 #include "policy/adaptive.h"
 #include "trace/workload.h"
 
@@ -23,7 +23,7 @@ using namespace clusmt;
 
 int main(int argc, char** argv) {
   const CliArgs args(argc, argv);
-  const Cycle cycles = static_cast<Cycle>(args.get_int("cycles", 150000));
+  const Cycle cycles = static_cast<Cycle>(args.get_int("cycles", 150000, 0));
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
 
   trace::TracePool pool(seed);
@@ -46,27 +46,36 @@ int main(int argc, char** argv) {
       policy::PolicyKind::kHillClimb, policy::PolicyKind::kUnreadyGate,
   };
 
-  TextTable table({"scheme", "throughput", "IPC[t0]", "IPC[t1]",
-                   "copies/ret", "fairness"});
+  harness::SweepSpec spec;
+  spec.suite = {workload};
+  spec.cycles = cycles;
+  spec.with_fairness = true;
+  spec.progress = false;
   for (policy::PolicyKind kind : schemes) {
     core::SimConfig config = harness::paper_baseline();
     config.policy = kind;
     config.policy_config.hillclimb_epoch = 4096;  // several rounds per run
+    spec.points.push_back(
+        {std::string(policy::policy_kind_name(kind)), config});
+  }
+  const harness::SweepResult res = harness::run_sweep(spec);
 
-    harness::Runner runner(config, cycles);
-    const harness::RunResult result = runner.run_workload(workload);
+  Table table({"scheme", "throughput", "IPC[t0]", "IPC[t1]", "copies/ret",
+               "fairness"});
+  for (std::size_t p = 0; p < res.points.size(); ++p) {
+    const harness::RunResult& result = res.cells[p][0];
     table.new_row()
-        .add_cell(std::string(policy::policy_kind_name(kind)))
+        .add_cell(res.points[p].label)
         .add_cell(result.throughput)
         .add_cell(result.ipc[0])
         .add_cell(result.ipc[1])
         .add_cell(result.stats.copies_per_retired())
-        .add_cell(runner.fairness_of(result, workload));
+        .add_cell(result.fairness);
   }
   std::printf("adaptive schemes on an asymmetric 2-thread mix "
               "(%llu cycles)\n\n%s\n",
               static_cast<unsigned long long>(cycles),
-              table.render().c_str());
+              table.render_text().c_str());
 
   // Part 2 — watch the hill climber learn: rerun with direct Simulator
   // access and report the shares it settled on.
@@ -88,7 +97,7 @@ int main(int argc, char** argv) {
 
   // Part 3 — Flush++ hybrid behaviour. The same memory-bound traces run
   // under two and four contexts; policy_flushes stays zero in Stall mode.
-  TextTable fpp({"threads", "mode", "policy flushes", "throughput"});
+  Table fpp({"threads", "mode", "policy flushes", "throughput"});
   for (int threads : {2, 4}) {
     core::SimConfig config =
         threads == 2 ? harness::paper_baseline() : harness::smt4_baseline();
@@ -109,6 +118,6 @@ int main(int argc, char** argv) {
         .add_cell(sim.stats().throughput());
   }
   std::printf("Flush++ hybrid on memory-bound server traces\n\n%s\n",
-              fpp.render().c_str());
+              fpp.render_text().c_str());
   return 0;
 }

@@ -105,7 +105,7 @@ std::shared_ptr<trace::VectorTrace> make_fp_kernel() {
 
 int main(int argc, char** argv) {
   const CliArgs args(argc, argv);
-  const Cycle cycles = static_cast<Cycle>(args.get_int("cycles", 150000));
+  const Cycle cycles = static_cast<Cycle>(args.get_int("cycles", 150000, 0));
 
   const trace::TraceProfile database = make_database_profile();
   const std::string err = database.validate();
@@ -114,8 +114,8 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  TextTable table({"scheme", "throughput", "IPC[db]", "IPC[kernel]",
-                   "copies/ret", "L2 miss (loads)"});
+  Table table({"scheme", "throughput", "IPC[db]", "IPC[kernel]",
+               "copies/ret", "L2 miss (loads)"});
   for (policy::PolicyKind kind :
        {policy::PolicyKind::kIcount, policy::PolicyKind::kCssp,
         policy::PolicyKind::kCdprf}) {
@@ -144,6 +144,6 @@ int main(int argc, char** argv) {
   }
   std::printf(
       "Custom workload: pointer-chasing database thread + FP kernel\n\n%s\n",
-      table.render().c_str());
+      table.render_text().c_str());
   return 0;
 }

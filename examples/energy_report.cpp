@@ -23,7 +23,7 @@ using namespace clusmt;
 
 int main(int argc, char** argv) {
   const CliArgs args(argc, argv);
-  const Cycle cycles = static_cast<Cycle>(args.get_int("cycles", 120000));
+  const Cycle cycles = static_cast<Cycle>(args.get_int("cycles", 120000, 0));
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
 
   std::vector<policy::PolicyKind> schemes = {
@@ -49,9 +49,9 @@ int main(int argc, char** argv) {
       pool.get(trace::Category::kServer, trace::TraceKind::kMem, 0),
   };
 
-  TextTable table({"scheme", "front-end", "IQ", "regfile", "execute",
-                   "memory", "links", "wasted", "static", "pJ/µop",
-                   "EDP(rel)"});
+  Table table({"scheme", "front-end", "IQ", "regfile", "execute",
+               "memory", "links", "wasted", "static", "pJ/µop",
+               "EDP(rel)"});
   double edp_base = 0.0;
   for (policy::PolicyKind kind : schemes) {
     core::SimConfig config = harness::paper_baseline();
@@ -89,6 +89,6 @@ int main(int argc, char** argv) {
               " pJ/µop and EDP are the efficiency metrics — lower is "
               "better)\n\n%s\n",
               static_cast<unsigned long long>(cycles),
-              table.render().c_str());
+              table.render_text().c_str());
   return 0;
 }

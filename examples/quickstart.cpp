@@ -4,23 +4,21 @@
 //   ./examples/quickstart [--cycles N] [--policy NAME] [--seed S]
 //
 // This walks the whole public API surface: trace profiles -> workload
-// specs -> SimConfig -> Simulator -> SimStats.
+// specs -> SimConfig -> sweep (one point per scheme) -> RunResult/SimStats.
 #include <cstdio>
 #include <string>
 
 #include "common/cli.h"
 #include "common/table.h"
-#include "core/metrics.h"
-#include "core/simulator.h"
 #include "harness/presets.h"
-#include "harness/runner.h"
+#include "harness/sweep.h"
 #include "trace/workload.h"
 
 using namespace clusmt;
 
 int main(int argc, char** argv) {
   const CliArgs args(argc, argv);
-  const Cycle cycles = static_cast<Cycle>(args.get_int("cycles", 100000));
+  const Cycle cycles = static_cast<Cycle>(args.get_int("cycles", 100000, 0));
   const std::uint64_t seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
 
   // 1. Pick two traces from the Table 2 pool: a branchy integer program and
@@ -49,28 +47,37 @@ int main(int argc, char** argv) {
     schemes = {*kind};
   }
 
-  TextTable table({"scheme", "throughput (uops/cyc)", "IPC[t0]", "IPC[t1]",
-                   "copies/retired", "IQ stalls/retired", "fairness"});
+  // 3. Run the one-workload grid; with_fairness adds the single-thread
+  //    baselines the fairness metric needs.
+  harness::SweepSpec spec;
+  spec.suite = {workload};
+  spec.cycles = cycles;
+  spec.with_fairness = true;
+  spec.progress = false;
   for (policy::PolicyKind kind : schemes) {
     core::SimConfig config = harness::paper_baseline();
     config.policy = kind;
+    spec.points.push_back(
+        {std::string(policy::policy_kind_name(kind)), config});
+  }
+  const harness::SweepResult res = harness::run_sweep(spec);
 
-    harness::Runner runner(config, cycles);
-    const harness::RunResult result = runner.run_workload(workload);
-    const double fair = runner.fairness_of(result, workload);
-
+  Table table({"scheme", "throughput (uops/cyc)", "IPC[t0]", "IPC[t1]",
+               "copies/retired", "IQ stalls/retired", "fairness"});
+  for (std::size_t p = 0; p < res.points.size(); ++p) {
+    const harness::RunResult& result = res.cells[p][0];
     table.new_row()
-        .add_cell(std::string(policy::policy_kind_name(kind)))
+        .add_cell(res.points[p].label)
         .add_cell(result.throughput)
         .add_cell(result.ipc[0])
         .add_cell(result.ipc[1])
         .add_cell(result.stats.copies_per_retired())
         .add_cell(result.stats.iq_stalls_per_retired())
-        .add_cell(fair);
+        .add_cell(result.fairness);
   }
   std::printf("clusmt quickstart — %llu cycles per run\n\n%s\n",
               static_cast<unsigned long long>(cycles),
-              table.render().c_str());
+              table.render_text().c_str());
   std::puts("Tip: --policy CSSP (or Stall, Flush+, CISP, CSPSP, PC, CSSPRF,");
   std::puts("CISPRF, CDPRF — or the extensions Flush++, DCRA, HillClimb,");
   std::puts("UnreadyGate) selects a single scheme; --cycles N scales runs.");

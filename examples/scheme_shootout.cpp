@@ -23,8 +23,8 @@ int main(int argc, char** argv) {
   const CliArgs args(argc, argv);
   const std::string category = args.get_string("category", "ISPEC00");
   const std::string type = args.get_string("type", "mix");
-  const Cycle cycles = static_cast<Cycle>(args.get_int("cycles", 150000));
-  const Cycle warmup = static_cast<Cycle>(args.get_int("warmup", 60000));
+  const Cycle cycles = static_cast<Cycle>(args.get_int("cycles", 150000, 0));
+  const Cycle warmup = static_cast<Cycle>(args.get_int("warmup", 60000, 0));
   const std::uint64_t seed =
       static_cast<std::uint64_t>(args.get_int("seed", 1));
 
@@ -65,8 +65,8 @@ int main(int argc, char** argv) {
   }
   const harness::SweepResult res = harness::run_sweep(spec);
 
-  TextTable table({"scheme", "throughput", "IPC[0]", "IPC[1]", "fairness",
-                   "copies/ret", "IQstall/ret", "flushes", "squashed"});
+  Table table({"scheme", "throughput", "IPC[0]", "IPC[1]", "fairness",
+               "copies/ret", "IQstall/ret", "flushes", "squashed"});
   double icount_throughput = 0.0;
   double icount_fairness = 0.0;
   for (std::size_t p = 0; p < res.points.size(); ++p) {
@@ -86,7 +86,7 @@ int main(int argc, char** argv) {
         .add_cell(r.stats.policy_flushes)
         .add_cell(r.stats.squashed_uops);
   }
-  std::printf("%s\n", table.render().c_str());
+  std::printf("%s\n", table.render_text().c_str());
   std::printf(
       "Icount reference: throughput %.3f uops/cycle, fairness %.3f\n",
       icount_throughput, icount_fairness);

@@ -43,7 +43,7 @@ int cmd_record(const CliArgs& args, const std::string& path) {
   const auto kind =
       kind_name == "ilp" ? trace::TraceKind::kIlp : trace::TraceKind::kMem;
   const int variant = static_cast<int>(args.get_int("variant", 0));
-  const auto count = static_cast<std::size_t>(args.get_int("count", 200000));
+  const auto count = static_cast<std::size_t>(args.get_int("count", 200000, 0));
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
 
   trace::TracePool pool(seed);
@@ -67,7 +67,7 @@ int cmd_info(const std::string& path) {
     ++per_class[static_cast<int>(op.cls)];
     if (op.is_branch() && op.taken) ++taken;
   }
-  TextTable table({"class", "count", "share"});
+  Table table({"class", "count", "share"});
   for (int c = 0; c < trace::kNumUopClasses; ++c) {
     if (per_class[c] == 0) continue;
     table.new_row()
@@ -79,7 +79,7 @@ int cmd_info(const std::string& path) {
                       : static_cast<double>(per_class[c]) /
                             static_cast<double>(loaded.uops.size()));
   }
-  std::printf("%s\n", table.render().c_str());
+  std::printf("%s\n", table.render_text().c_str());
   const std::size_t branches =
       per_class[static_cast<int>(trace::UopClass::kBranch)];
   if (branches > 0) {
@@ -91,7 +91,7 @@ int cmd_info(const std::string& path) {
 
 int cmd_replay(const CliArgs& args, const std::string& path) {
   const trace::LoadedTrace loaded = trace::load_trace(path);
-  const Cycle cycles = static_cast<Cycle>(args.get_int("cycles", 50000));
+  const Cycle cycles = static_cast<Cycle>(args.get_int("cycles", 50000, 0));
   const std::string policy_name = args.get_string("policy", "Icount");
   const auto kind = policy::parse_policy_kind(policy_name);
   if (!kind) {

@@ -3,6 +3,7 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 
 namespace clusmt {
 
@@ -17,6 +18,16 @@ namespace {
   std::fprintf(stderr, "error: --%s expects %s, got '%s'\n", name.c_str(),
                expected, value.c_str());
   std::exit(2);
+}
+
+/// Parses the whole of `text` as a base-10 int64 (leading whitespace
+/// aside); false on junk, an empty token, or an out-of-range literal.
+bool parse_int(const std::string& text, std::int64_t& value) {
+  const char* begin = text.c_str();
+  char* end = nullptr;
+  errno = 0;
+  value = std::strtoll(begin, &end, 10);
+  return end != begin && *end == '\0' && errno != ERANGE;
 }
 
 }  // namespace
@@ -53,40 +64,33 @@ std::string CliArgs::get_string(const std::string& name,
   return it == flags_.end() ? fallback : it->second;
 }
 
-std::int64_t CliArgs::get_int(const std::string& name,
-                              std::int64_t fallback) const {
+std::int64_t CliArgs::get_int(const std::string& name, std::int64_t fallback,
+                              std::int64_t min, std::int64_t max) const {
   const auto it = flags_.find(name);
   if (it == flags_.end()) return fallback;
-  const char* begin = it->second.c_str();
-  char* end = nullptr;
-  errno = 0;
-  const std::int64_t value = std::strtoll(begin, &end, 10);
+  std::int64_t value = 0;
   // The whole token must parse: "10k", "", and a bare boolean "--cycles"
   // (value "true") are errors, not 10/0 — as is an out-of-range literal.
-  if (end == begin || *end != '\0' || errno == ERANGE) {
+  if (!parse_int(it->second, value)) {
     die_bad_value(name, it->second, "an integer");
   }
-  return value;
-}
-
-double CliArgs::get_double(const std::string& name, double fallback) const {
-  const auto it = flags_.find(name);
-  if (it == flags_.end()) return fallback;
-  const char* begin = it->second.c_str();
-  char* end = nullptr;
-  errno = 0;
-  const double value = std::strtod(begin, &end);
-  if (end == begin || *end != '\0' || errno == ERANGE) {
-    die_bad_value(name, it->second, "a number");
+  if (value < min || value > max) {
+    std::string expected = "an integer ";
+    if (max == std::numeric_limits<std::int64_t>::max()) {
+      expected += ">= " + std::to_string(min);
+    } else {
+      expected += "in [" + std::to_string(min) + ", " + std::to_string(max) +
+                  "]";
+    }
+    die_bad_value(name, it->second, expected.c_str());
   }
   return value;
 }
 
-std::vector<std::int64_t> CliArgs::get_int_list(
-    const std::string& name) const {
+std::vector<int> CliArgs::get_int_list(const std::string& name) const {
   const auto it = flags_.find(name);
   if (it == flags_.end()) return {};
-  std::vector<std::int64_t> values;
+  std::vector<int> values;
   const std::string& text = it->second;
   std::size_t start = 0;
   while (true) {
@@ -94,18 +98,16 @@ std::vector<std::int64_t> CliArgs::get_int_list(
     const std::string token = text.substr(
         start, comma == std::string::npos ? std::string::npos
                                           : comma - start);
-    const char* begin = token.c_str();
-    char* end = nullptr;
-    errno = 0;
-    const std::int64_t value = std::strtoll(begin, &end, 10);
-    if (end == begin || *end != '\0' || errno == ERANGE) {
+    std::int64_t value = 0;
+    if (!parse_int(token, value)) {
       die_bad_value(name, text, "a comma-separated list of integers");
     }
-    if (value < 0) {
+    if (value < 0 || value > std::numeric_limits<int>::max()) {
       die_bad_value(name, text,
-                    "a comma-separated list of non-negative integers");
+                    "a comma-separated list of non-negative integers "
+                    "up to 2147483647");
     }
-    values.push_back(value);
+    values.push_back(static_cast<int>(value));
     if (comma == std::string::npos) break;
     start = comma + 1;
   }

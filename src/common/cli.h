@@ -3,8 +3,8 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <map>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -17,20 +17,21 @@ class CliArgs {
   [[nodiscard]] bool has(const std::string& name) const;
   [[nodiscard]] std::string get_string(const std::string& name,
                                        const std::string& fallback) const;
-  /// Numeric getters require the flag's whole value to parse (leading
-  /// whitespace aside): a malformed value like "--cycles=10k" prints a
-  /// usage error and exits(2) instead of silently truncating to 10.
-  [[nodiscard]] std::int64_t get_int(const std::string& name,
-                                     std::int64_t fallback) const;
-  [[nodiscard]] double get_double(const std::string& name,
-                                  double fallback) const;
-  /// Comma-separated integer list ("--iq=48,16"); empty when the flag is
-  /// absent. Junk tokens, empty elements ("48,,16", trailing comma),
-  /// negative values and out-of-range literals are all usage errors that
-  /// exit(2) — arity checks are the caller's job (the list length is
+  /// The flag's whole value must parse as an integer (leading whitespace
+  /// aside) in [min, max]: a malformed value like "--cycles=10k" or one out
+  /// of range like "--jobs=-1" prints a usage error and exits(2) instead of
+  /// silently truncating to 10 or wrapping to SIZE_MAX at the caller's cast.
+  /// The fallback is returned as is.
+  [[nodiscard]] std::int64_t get_int(
+      const std::string& name, std::int64_t fallback,
+      std::int64_t min = std::numeric_limits<std::int64_t>::min(),
+      std::int64_t max = std::numeric_limits<std::int64_t>::max()) const;
+  /// Comma-separated list of non-negative ints ("--iq=48,16"); empty when
+  /// the flag is absent. Junk tokens, empty elements ("48,,16", trailing
+  /// comma), negative values and values beyond INT_MAX are all usage errors
+  /// that exit(2) — arity checks are the caller's job (the list length is
   /// context-dependent).
-  [[nodiscard]] std::vector<std::int64_t> get_int_list(
-      const std::string& name) const;
+  [[nodiscard]] std::vector<int> get_int_list(const std::string& name) const;
   [[nodiscard]] bool get_bool(const std::string& name, bool fallback) const;
 
   /// Non-flag positional arguments in order.

@@ -1,55 +1,11 @@
 #include "common/stats.h"
 
-#include <algorithm>
-#include <cmath>
-
 namespace clusmt {
 
 void RunningStats::add(double x) noexcept {
-  if (n_ == 0) {
-    min_ = max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
   ++n_;
   const double delta = x - mean_;
   mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
-}
-
-void RunningStats::merge(const RunningStats& other) noexcept {
-  if (other.n_ == 0) return;
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  const double na = static_cast<double>(n_);
-  const double nb = static_cast<double>(other.n_);
-  const double delta = other.mean_ - mean_;
-  const double total = na + nb;
-  mean_ += delta * nb / total;
-  m2_ += other.m2_ + delta * delta * na * nb / total;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-  n_ += other.n_;
-}
-
-double RunningStats::variance() const noexcept {
-  return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0;
-}
-
-double RunningStats::stddev() const noexcept { return std::sqrt(variance()); }
-
-bool GeomeanStats::add(double x) noexcept {
-  if (!(x > 0.0)) return false;
-  log_sum_ += std::log(x);
-  ++n_;
-  return true;
-}
-
-double GeomeanStats::geomean() const noexcept {
-  return n_ ? std::exp(log_sum_ / static_cast<double>(n_)) : 0.0;
 }
 
 double mean_of(std::span<const double> xs) noexcept {
@@ -57,22 +13,6 @@ double mean_of(std::span<const double> xs) noexcept {
   double sum = 0.0;
   for (double x : xs) sum += x;
   return sum / static_cast<double>(xs.size());
-}
-
-double geomean_of(std::span<const double> xs) noexcept {
-  GeomeanStats g;
-  for (double x : xs) g.add(x);
-  return g.geomean();
-}
-
-double harmonic_mean_of(std::span<const double> xs) noexcept {
-  if (xs.empty()) return 0.0;
-  double inv_sum = 0.0;
-  for (double x : xs) {
-    if (!(x > 0.0)) return 0.0;
-    inv_sum += 1.0 / x;
-  }
-  return static_cast<double>(xs.size()) / inv_sum;
 }
 
 }  // namespace clusmt

@@ -1,58 +1,28 @@
-// Online statistics accumulators used by the simulator's counters and the
-// experiment harness (per-category averages, geometric means of speedups).
+// Averaging helpers for the experiment harness: per-category means of a
+// per-workload metric (harness::by_category) and means of speedup series.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <span>
-#include <vector>
 
 namespace clusmt {
 
-/// Welford online mean/variance accumulator.
+/// Online mean accumulator (Welford's update: no running sum to overflow or
+/// lose precision).
 class RunningStats {
  public:
   void add(double x) noexcept;
-  void merge(const RunningStats& other) noexcept;
 
   [[nodiscard]] std::size_t count() const noexcept { return n_; }
   [[nodiscard]] double mean() const noexcept { return n_ ? mean_ : 0.0; }
-  [[nodiscard]] double variance() const noexcept;
-  [[nodiscard]] double stddev() const noexcept;
-  [[nodiscard]] double min() const noexcept { return n_ ? min_ : 0.0; }
-  [[nodiscard]] double max() const noexcept { return n_ ? max_ : 0.0; }
-  [[nodiscard]] double sum() const noexcept { return mean_ * static_cast<double>(n_); }
 
  private:
   std::size_t n_ = 0;
   double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-};
-
-/// Geometric mean accumulator (the conventional way to average speedups).
-/// Non-positive samples are rejected (returns false from add).
-class GeomeanStats {
- public:
-  bool add(double x) noexcept;
-
-  [[nodiscard]] std::size_t count() const noexcept { return n_; }
-  [[nodiscard]] double geomean() const noexcept;
-
- private:
-  std::size_t n_ = 0;
-  double log_sum_ = 0.0;
 };
 
 /// Arithmetic mean of a span; 0 for an empty span.
 [[nodiscard]] double mean_of(std::span<const double> xs) noexcept;
-
-/// Geometric mean of a span of positive values; 0 for an empty span.
-[[nodiscard]] double geomean_of(std::span<const double> xs) noexcept;
-
-/// Harmonic mean of a span of positive values; 0 for an empty span.
-[[nodiscard]] double harmonic_mean_of(std::span<const double> xs) noexcept;
 
 /// Ratio helper that tolerates zero denominators (returns 0).
 [[nodiscard]] constexpr double safe_ratio(double num, double den) noexcept {

@@ -28,34 +28,8 @@ void ThreadPool::submit(std::function<void()> task) {
   {
     std::lock_guard lock(mutex_);
     queue_.push(std::move(task));
-    ++in_flight_;
   }
   cv_task_.notify_one();
-}
-
-std::vector<std::future<void>> ThreadPool::submit_bulk(
-    std::size_t count, std::function<void(std::size_t)> fn) {
-  auto shared_fn =
-      std::make_shared<std::function<void(std::size_t)>>(std::move(fn));
-  std::vector<std::future<void>> futures;
-  futures.reserve(count);
-  {
-    std::lock_guard lock(mutex_);
-    for (std::size_t i = 0; i < count; ++i) {
-      auto task = std::make_shared<std::packaged_task<void()>>(
-          [shared_fn, i] { (*shared_fn)(i); });
-      futures.push_back(task->get_future());
-      queue_.push([task = std::move(task)] { (*task)(); });
-      ++in_flight_;
-    }
-  }
-  cv_task_.notify_all();
-  return futures;
-}
-
-void ThreadPool::wait_idle() {
-  std::unique_lock lock(mutex_);
-  cv_idle_.wait(lock, [this] { return in_flight_ == 0; });
 }
 
 void ThreadPool::worker_loop() {
@@ -69,11 +43,6 @@ void ThreadPool::worker_loop() {
       queue_.pop();
     }
     task();
-    {
-      std::lock_guard lock(mutex_);
-      --in_flight_;
-      if (in_flight_ == 0) cv_idle_.notify_all();
-    }
   }
 }
 

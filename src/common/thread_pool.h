@@ -41,15 +41,6 @@ class ThreadPool {
     return future;
   }
 
-  /// Bulk submit: enqueues fn(i) for every i in [0, count) in one lock
-  /// acquisition and returns per-index futures (exceptions propagate
-  /// through the matching future).
-  [[nodiscard]] std::vector<std::future<void>> submit_bulk(
-      std::size_t count, std::function<void(std::size_t)> fn);
-
-  /// Blocks until every submitted task has finished.
-  void wait_idle();
-
   [[nodiscard]] std::size_t size() const noexcept { return workers_.size(); }
 
  private:
@@ -59,8 +50,6 @@ class ThreadPool {
   std::queue<std::function<void()>> queue_;
   std::mutex mutex_;
   std::condition_variable cv_task_;
-  std::condition_variable cv_idle_;
-  std::size_t in_flight_ = 0;
   bool stop_ = false;
 };
 

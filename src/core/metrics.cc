@@ -26,25 +26,4 @@ double fairness(std::span<const double> smt_ipc,
   return min_ratio;
 }
 
-double weighted_speedup(std::span<const double> smt_ipc,
-                        std::span<const double> single_ipc) noexcept {
-  double total = 0.0;
-  for (std::size_t i = 0; i < smt_ipc.size(); ++i) {
-    total += safe_ratio(smt_ipc[i], single_ipc[i]);
-  }
-  return total;
-}
-
-double harmonic_speedup(std::span<const double> smt_ipc,
-                        std::span<const double> single_ipc) noexcept {
-  double denom = 0.0;
-  for (std::size_t i = 0; i < smt_ipc.size(); ++i) {
-    const double rel = safe_ratio(smt_ipc[i], single_ipc[i]);
-    if (rel <= 0.0) return 0.0;
-    denom += 1.0 / rel;
-  }
-  return denom == 0.0 ? 0.0
-                      : static_cast<double>(smt_ipc.size()) / denom;
-}
-
 }  // namespace clusmt::core

@@ -18,14 +18,4 @@ namespace clusmt::core {
 [[nodiscard]] double fairness(std::span<const double> smt_ipc,
                               std::span<const double> single_ipc) noexcept;
 
-/// Weighted speedup (Snavely/Tullsen): sum of IPC_smt_i / IPC_single_i.
-[[nodiscard]] double weighted_speedup(
-    std::span<const double> smt_ipc,
-    std::span<const double> single_ipc) noexcept;
-
-/// Harmonic mean of relative IPCs — balances throughput and fairness.
-[[nodiscard]] double harmonic_speedup(
-    std::span<const double> smt_ipc,
-    std::span<const double> single_ipc) noexcept;
-
 }  // namespace clusmt::core

@@ -1,7 +1,7 @@
 // Process-wide, thread-safe memoisation of simulation runs, keyed by the
 // RunKey content hash. Identical cells — repeated grid points, shared
 // fairness baselines — are simulated exactly once per process no matter how
-// many Runners or sweeps request them; concurrent requesters of an
+// many sweeps request them; concurrent requesters of an
 // in-flight cell block on its future instead of recomputing.
 //
 // Attaching a RunStore (set_store_dir) adds a disk tier: a memory miss
@@ -32,7 +32,7 @@ class RunCache {
   RunCache(const RunCache&) = delete;
   RunCache& operator=(const RunCache&) = delete;
 
-  /// The process-wide instance every Runner and sweep shares by default.
+  /// The process-wide instance every sweep shares by default.
   [[nodiscard]] static RunCache& instance();
 
   /// Returns the result for `key`, invoking `compute` at most once per key
@@ -108,7 +108,7 @@ class RunCache {
 
 /// Key of the single-thread fairness-baseline cell of `trace` on
 /// baseline_config(config). The ONE place baseline cells are keyed —
-/// Runner::single_thread_ipc and both sweep-engine baseline paths go
+/// run_sweep's baseline prefetch and its per-cell fairness lookup both go
 /// through this pair, so their cache entries are shared by construction.
 [[nodiscard]] RunKey baseline_key(const core::SimConfig& config,
                                   const trace::TraceSpec& trace, Cycle cycles,

@@ -2,7 +2,7 @@
 // hash of every input that determines a run's outcome — the full SimConfig
 // (including nested predictor/memory/policy knobs), the workload's trace
 // profiles and generator seeds, and the cycle budget — so the RunCache can
-// equate runs across Runner/SweepSpec instances and never across runs that
+// equate runs across SweepSpec instances and never across runs that
 // differ in any behavioural knob. In particular two traces that merely
 // share a *name* hash differently when their content differs (the latent
 // collision the old name-keyed baseline cache had).
@@ -40,7 +40,7 @@ void hash_trace(Fnv1a& h, const trace::TraceSpec& spec);
 void hash_workload(Fnv1a& h, const trace::WorkloadSpec& spec);
 
 /// 128-bit content key of one trace spec (profile + seed), independent of
-/// any machine configuration. Used by tests and the Runner baseline cache.
+/// any machine configuration.
 [[nodiscard]] RunKey trace_content_key(const trace::TraceSpec& spec);
 
 /// Key of a full simulation cell: machine × workload × cycle budget.

@@ -1,15 +1,10 @@
 #include "harness/runner.h"
 
 #include <atomic>
-#include <map>
 #include <sstream>
 #include <stdexcept>
 
 #include "common/stats.h"
-#include "common/thread_pool.h"
-#include "core/metrics.h"
-#include "harness/run_cache.h"
-#include "harness/run_key.h"
 
 namespace clusmt::harness {
 
@@ -58,68 +53,6 @@ RunResult simulate_workload(const core::SimConfig& config,
     result.ipc[t] = sim.stats().ipc(t);
   }
   return result;
-}
-
-Runner::Runner(core::SimConfig base_config, Cycle cycles, Cycle warmup,
-               std::size_t host_threads)
-    : config_(std::move(base_config)),
-      cycles_(cycles),
-      warmup_(warmup),
-      host_threads_(host_threads) {}
-
-RunResult Runner::run_workload(const trace::WorkloadSpec& spec) const {
-  return simulate_workload(config_, spec, cycles_, warmup_);
-}
-
-std::vector<RunResult> Runner::run_suite(
-    const std::vector<trace::WorkloadSpec>& suite) const {
-  std::vector<RunResult> results(suite.size());
-  parallel_for(
-      suite.size(),
-      [&](std::size_t i) { results[i] = run_workload(suite[i]); },
-      host_threads_);
-  return results;
-}
-
-double Runner::single_thread_ipc(const trace::TraceSpec& spec) const {
-  return baseline_run(RunCache::instance(), config_, spec, cycles_, warmup_)
-      .ipc[0];
-}
-
-double Runner::fairness_of(const RunResult& result,
-                           const trace::WorkloadSpec& spec) const {
-  std::vector<double> smt;
-  std::vector<double> alone;
-  for (std::size_t t = 0; t < spec.threads.size(); ++t) {
-    smt.push_back(result.ipc[t]);
-    alone.push_back(single_thread_ipc(spec.threads[t]));
-  }
-  return core::fairness(smt, alone);
-}
-
-std::vector<RunResult> Runner::run_suite_with_fairness(
-    const std::vector<trace::WorkloadSpec>& suite) const {
-  // Warm the baseline cache in parallel first (unique traces only — by
-  // content, so same-name-different-content traces each get a run), then
-  // run the SMT configurations.
-  std::vector<const trace::TraceSpec*> unique;
-  {
-    std::map<RunKey, const trace::TraceSpec*> seen;
-    for (const auto& w : suite) {
-      for (const auto& t : w.threads) seen.emplace(trace_content_key(t), &t);
-    }
-    for (const auto& [key, ptr] : seen) unique.push_back(ptr);
-  }
-  parallel_for(
-      unique.size(),
-      [&](std::size_t i) { (void)single_thread_ipc(*unique[i]); },
-      host_threads_);
-
-  std::vector<RunResult> results = run_suite(suite);
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    results[i].fairness = fairness_of(results[i], suite[i]);
-  }
-  return results;
 }
 
 std::vector<std::pair<std::string, double>> by_category(

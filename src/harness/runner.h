@@ -1,11 +1,7 @@
-// Experiment runner: executes workloads under a machine configuration and
-// scheme, fanning independent simulations across host cores. Single-thread
-// fairness baselines go through the process-wide RunCache, keyed by full
-// trace *content* (harness/run_key.h) — never by workload name.
-//
-// For grid-shaped experiments (scheme × config × suite) prefer the sweep
-// engine in harness/sweep.h, which schedules every cell of the whole grid
-// on one queue and shares the RunCache across grid points.
+// One simulation cell: simulate_workload runs a workload on a machine
+// configuration and collects its RunResult. Suites, grids and fairness
+// baselines run through the sweep engine (harness/sweep.h), which schedules
+// every cell on one queue and memoises them in the RunCache.
 #pragma once
 
 #include <cstdint>
@@ -28,8 +24,8 @@ struct RunResult {
   double ipc[kMaxThreads] = {};
   double throughput = 0.0;
 
-  /// Fairness vs single-thread baselines; filled when the runner is asked
-  /// for fairness (requires baseline runs).
+  /// Fairness vs single-thread baselines; filled by run_sweep when the
+  /// spec asks for it (SweepSpec::with_fairness).
   double fairness = 0.0;
 };
 
@@ -49,51 +45,6 @@ struct RunResult {
 /// deltas like the RunCache counters.
 [[nodiscard]] std::uint64_t total_cycles_skipped() noexcept;
 [[nodiscard]] std::uint64_t total_skip_episodes() noexcept;
-
-class Runner {
- public:
-  /// `cycles`: measured cycles per run; `warmup`: cycles simulated before
-  /// statistics are reset (caches/predictors stay warm). `host_threads`
-  /// 0 = all cores.
-  Runner(core::SimConfig base_config, Cycle cycles, Cycle warmup = 0,
-         std::size_t host_threads = 0);
-
-  [[nodiscard]] const core::SimConfig& base_config() const noexcept {
-    return config_;
-  }
-  [[nodiscard]] Cycle cycles() const noexcept { return cycles_; }
-  [[nodiscard]] Cycle warmup() const noexcept { return warmup_; }
-
-  /// Runs one workload under the configured scheme.
-  [[nodiscard]] RunResult run_workload(const trace::WorkloadSpec& spec) const;
-
-  /// Runs the whole suite in parallel (deterministic per-run results;
-  /// output order matches the suite order).
-  [[nodiscard]] std::vector<RunResult> run_suite(
-      const std::vector<trace::WorkloadSpec>& suite) const;
-
-  /// Single-thread baseline IPC of a trace on the same machine with the
-  /// whole back-end to itself. Served from the process-wide RunCache keyed
-  /// by trace content, so distinct traces that share a display name never
-  /// collide, and identical baselines are simulated once per process even
-  /// across Runner instances (thread-safe).
-  [[nodiscard]] double single_thread_ipc(const trace::TraceSpec& spec) const;
-
-  /// Computes the fairness metric for a finished run (triggers baseline
-  /// runs on first use per trace).
-  [[nodiscard]] double fairness_of(const RunResult& result,
-                                   const trace::WorkloadSpec& spec) const;
-
-  /// Runs the suite and fills fairness for every result.
-  [[nodiscard]] std::vector<RunResult> run_suite_with_fairness(
-      const std::vector<trace::WorkloadSpec>& suite) const;
-
- private:
-  core::SimConfig config_;
-  Cycle cycles_;
-  Cycle warmup_;
-  std::size_t host_threads_;
-};
 
 /// Arithmetic mean of `metric` over the workloads of each category, in the
 /// paper's display order, followed by an "AVG" row over all workloads.

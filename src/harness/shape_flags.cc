@@ -18,9 +18,9 @@ namespace {
 }
 
 /// Fetches --`flag` and enforces one element per cluster (`want`).
-std::vector<std::int64_t> cluster_list(const CliArgs& args, const char* flag,
-                                       std::size_t want) {
-  std::vector<std::int64_t> values = args.get_int_list(flag);
+std::vector<int> cluster_list(const CliArgs& args, const char* flag,
+                              std::size_t want) {
+  std::vector<int> values = args.get_int_list(flag);
   if (!values.empty() && values.size() != want) {
     die_arity(flag, values.size(), want);
   }
@@ -48,27 +48,21 @@ void apply_shape_flags(const CliArgs& args, core::SimConfig& config) {
   config.num_clusters = static_cast<int>(clusters);
   const auto n = static_cast<std::size_t>(config.num_clusters);
 
-  const std::vector<std::int64_t> width = cluster_list(args, "width", n);
-  const std::vector<std::int64_t> iq = cluster_list(args, "iq", n);
-  const std::vector<std::int64_t> int_regs =
-      cluster_list(args, "int-regs", n);
-  const std::vector<std::int64_t> fp_regs = cluster_list(args, "fp-regs", n);
+  const std::vector<int> width = cluster_list(args, "width", n);
+  const std::vector<int> iq = cluster_list(args, "iq", n);
+  const std::vector<int> int_regs = cluster_list(args, "int-regs", n);
+  const std::vector<int> fp_regs = cluster_list(args, "fp-regs", n);
   for (std::size_t c = 0; c < n; ++c) {
-    if (!width.empty()) config.shape[c].issue_width = static_cast<int>(width[c]);
-    if (!iq.empty()) config.shape[c].iq_entries = static_cast<int>(iq[c]);
-    if (!int_regs.empty()) {
-      config.shape[c].int_regs = static_cast<int>(int_regs[c]);
-    }
-    if (!fp_regs.empty()) {
-      config.shape[c].fp_regs = static_cast<int>(fp_regs[c]);
-    }
+    if (!width.empty()) config.shape[c].issue_width = width[c];
+    if (!iq.empty()) config.shape[c].iq_entries = iq[c];
+    if (!int_regs.empty()) config.shape[c].int_regs = int_regs[c];
+    if (!fp_regs.empty()) config.shape[c].fp_regs = fp_regs[c];
   }
 
-  const std::vector<std::int64_t> link = cluster_list(args, "link", n * n);
+  const std::vector<int> link = cluster_list(args, "link", n * n);
   for (std::size_t from = 0; from < n && !link.empty(); ++from) {
     for (std::size_t to = 0; to < n; ++to) {
-      config.link_latency_cc[from][to] =
-          static_cast<int>(link[from * n + to]);
+      config.link_latency_cc[from][to] = link[from * n + to];
     }
   }
 }

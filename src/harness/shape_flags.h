@@ -10,9 +10,9 @@
 //                       (num_clusters² entries; 0 = inherit link_latency)
 //
 // Every list must have exactly num_clusters elements (--link:
-// num_clusters²); wrong arity — like any junk token or negative value,
-// which CliArgs::get_int_list already rejects — is a usage error that
-// exits(2). Value-range checks beyond non-negativity stay in the Simulator
+// num_clusters²); wrong arity — like any junk token, negative value or value
+// beyond INT_MAX, which CliArgs::get_int_list already rejects — is a usage
+// error that exits(2). Value-range checks beyond that stay in the Simulator
 // constructor, the single authority on what a runnable machine is.
 #pragma once
 

@@ -5,8 +5,6 @@
 #include <map>
 #include <stdexcept>
 
-#include "common/csv.h"
-#include "common/table.h"
 #include "common/thread_pool.h"
 #include "core/metrics.h"
 #include "harness/run_key.h"
@@ -225,38 +223,13 @@ std::vector<double> ratio_to_baseline(const std::vector<double>& series,
   return out;
 }
 
-std::string TableDoc::render_text() const {
-  TextTable table(header);
-  for (const auto& row : rows) table.add_row(row);
-  return table.render();
-}
-
-namespace {
-CsvWriter as_csv(const TableDoc& doc) {
-  CsvWriter csv(doc.header);
-  for (const auto& row : doc.rows) csv.add_row(row);
-  return csv;
-}
-}  // namespace
-
-std::string TableDoc::to_csv() const { return as_csv(*this).to_string(); }
-std::string TableDoc::to_json() const { return as_csv(*this).to_json(); }
-
-bool TableDoc::write_csv(const std::string& path) const {
-  return as_csv(*this).write_file(path);
-}
-
-bool TableDoc::write_json(const std::string& path) const {
-  return as_csv(*this).write_json_file(path);
-}
-
-TableDoc category_table(
+Table category_table(
     const std::vector<trace::WorkloadSpec>& suite,
     const std::vector<std::pair<std::string, std::vector<double>>>& series,
     int precision) {
-  TableDoc doc;
-  doc.header.push_back("category");
-  for (const auto& [label, _] : series) doc.header.push_back(label);
+  std::vector<std::string> header = {"category"};
+  for (const auto& [label, _] : series) header.push_back(label);
+  Table doc(std::move(header));
 
   std::vector<std::vector<std::pair<std::string, double>>> per_series;
   per_series.reserve(series.size());

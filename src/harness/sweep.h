@@ -33,6 +33,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/table.h"
 #include "core/config.h"
 #include "harness/run_cache.h"
 #include "harness/runner.h"
@@ -149,27 +150,10 @@ struct SweepResult {
 [[nodiscard]] std::vector<double> ratio_to_baseline(
     const std::vector<double>& series, const std::vector<double>& baseline);
 
-/// A rendered results table with stable column order, emittable as aligned
-/// text, CSV, or JSON (array of objects keyed by header).
-struct TableDoc {
-  std::vector<std::string> header;
-  std::vector<std::vector<std::string>> rows;
-
-  void add_row(std::vector<std::string> cells) {
-    rows.push_back(std::move(cells));
-  }
-
-  [[nodiscard]] std::string render_text() const;
-  [[nodiscard]] std::string to_csv() const;
-  [[nodiscard]] std::string to_json() const;
-  bool write_csv(const std::string& path) const;
-  bool write_json(const std::string& path) const;
-};
-
 /// Per-category aggregation table: one row per category of the paper's
 /// display order (plus AVG), one column per (label, per-workload metric)
 /// series. This is the layout of Figures 2-4, 6, 10 and the ablations.
-[[nodiscard]] TableDoc category_table(
+[[nodiscard]] Table category_table(
     const std::vector<trace::WorkloadSpec>& suite,
     const std::vector<std::pair<std::string, std::vector<double>>>& series,
     int precision = 3);

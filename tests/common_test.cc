@@ -12,9 +12,7 @@
 #include <vector>
 
 #include "common/cli.h"
-#include "common/csv.h"
 #include "common/fsio.h"
-#include "common/histogram.h"
 #include "common/rng.h"
 #include "common/stats.h"
 #include "common/table.h"
@@ -208,95 +206,72 @@ TEST(Rng, HashCombineChanges) {
   EXPECT_EQ(hash_combine(10, 20), hash_combine(10, 20));
 }
 
-TEST(RunningStats, BasicMoments) {
+TEST(RunningStats, CountAndMean) {
   RunningStats s;
+  EXPECT_EQ(s.mean(), 0.0);
   for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.add(x);
   EXPECT_EQ(s.count(), 8u);
   EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_NEAR(s.stddev(), std::sqrt(32.0 / 7.0), 1e-12);
-  EXPECT_DOUBLE_EQ(s.min(), 2.0);
-  EXPECT_DOUBLE_EQ(s.max(), 9.0);
 }
 
-TEST(RunningStats, MergeMatchesSequential) {
-  RunningStats a, b, all;
-  for (int i = 0; i < 50; ++i) {
-    const double x = i * 0.7 - 3;
-    (i % 2 ? a : b).add(x);
-    all.add(x);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-12);
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-9);
-}
-
-TEST(GeomeanStats, MatchesClosedForm) {
-  GeomeanStats g;
-  EXPECT_TRUE(g.add(2.0));
-  EXPECT_TRUE(g.add(8.0));
-  EXPECT_DOUBLE_EQ(g.geomean(), 4.0);
-  EXPECT_FALSE(g.add(0.0));
-  EXPECT_FALSE(g.add(-1.0));
-  EXPECT_EQ(g.count(), 2u);
-}
-
-TEST(SpanStats, MeanGeomeanHarmonic) {
+TEST(SpanStats, Mean) {
   const std::vector<double> xs = {1.0, 2.0, 4.0};
   EXPECT_NEAR(mean_of(xs), 7.0 / 3.0, 1e-12);
-  EXPECT_NEAR(geomean_of(xs), 2.0, 1e-12);
-  EXPECT_NEAR(harmonic_mean_of(xs), 3.0 / (1.0 + 0.5 + 0.25), 1e-12);
   EXPECT_EQ(mean_of({}), 0.0);
 }
 
-TEST(Histogram, AddAndQuantiles) {
-  Histogram h(10);
-  for (std::uint64_t v = 0; v < 10; ++v) h.add(v);
-  EXPECT_EQ(h.total(), 10u);
-  EXPECT_DOUBLE_EQ(h.mean(), 4.5);
-  EXPECT_EQ(h.quantile(0.5), 4u);
-  EXPECT_EQ(h.quantile(1.0), 9u);
-}
-
-TEST(Histogram, OverflowClamps) {
-  Histogram h(4);
-  h.add(100, 3);
-  EXPECT_EQ(h.count(3), 3u);
-  EXPECT_EQ(h.total(), 3u);
-}
-
-TEST(Histogram, MergeAndFraction) {
-  Histogram a(4), b(4);
-  a.add(0, 2);
-  b.add(1, 2);
-  a.merge(b);
-  EXPECT_DOUBLE_EQ(a.fraction(0), 0.5);
-  EXPECT_DOUBLE_EQ(a.fraction(1), 0.5);
-  Histogram c(5);
-  EXPECT_THROW(a.merge(c), std::invalid_argument);
-}
-
-TEST(TextTable, RendersAlignedColumns) {
-  TextTable t({"name", "value"});
+TEST(Table, RendersAlignedColumns) {
+  Table t({"name", "value"});
   t.add_row({"alpha", "1"});
   t.add_row({"b", "22"});
-  const std::string out = t.render();
+  const std::string out = t.render_text();
   EXPECT_NE(out.find("alpha"), std::string::npos);
   EXPECT_NE(out.find("22"), std::string::npos);
   // header + rule + 2 rows
   EXPECT_EQ(std::count(out.begin(), out.end(), '\n'), 4);
 }
 
+// The golden gate compares the JSON rendering byte for byte, and every bench
+// prints the text rendering, so all three are pinned whole here: a spacing,
+// quoting or number-typing change fails tier-1, not only CI's golden job.
+TEST(Table, PinsEveryRenderingByteForByte) {
+  Table t({"scheme", "speedup", "note"});
+  t.new_row().add_cell(std::string("CDPRF")).add_cell(1.176).add_cell(
+      std::string("12%"));
+  t.add_row({"Icount, base", "1", "said \"hi\""});
+  t.add_row({"short"});
+
+  EXPECT_EQ(t.render_text(),
+            "scheme        speedup       note\n"
+            "--------------------------------\n"
+            "CDPRF           1.176        12%\n"
+            "Icount, base        1  said \"hi\"\n"
+            "short                           \n");
+  EXPECT_EQ(t.to_csv(),
+            "scheme,speedup,note\n"
+            "CDPRF,1.176,12%\n"
+            "\"Icount, base\",1,\"said \"\"hi\"\"\"\n"
+            "short\n");
+  EXPECT_EQ(t.to_json(),
+            "[\n"
+            "  {\"scheme\": \"CDPRF\", \"speedup\": 1.176, "
+            "\"note\": \"12%\"},\n"
+            "  {\"scheme\": \"Icount, base\", \"speedup\": 1, "
+            "\"note\": \"said \\\"hi\\\"\"},\n"
+            "  {\"scheme\": \"short\", \"speedup\": null, \"note\": null}\n"
+            "]\n");
+}
+
 TEST(Csv, QuotesSpecialCharacters) {
-  CsvWriter csv({"a", "b"});
+  Table csv({"a", "b"});
   csv.add_row({"x,y", "he said \"hi\""});
-  const std::string out = csv.to_string();
+  const std::string out = csv.to_csv();
   EXPECT_NE(out.find("\"x,y\""), std::string::npos);
   EXPECT_NE(out.find("\"he said \"\"hi\"\"\""), std::string::npos);
 }
 
 TEST(Csv, JsonKeepsColumnOrderAndNumberTyping) {
-  CsvWriter csv({"name", "value"});
+  Table csv({"name", "value"});
   csv.add_row({"alpha", "1.500"});
   csv.add_row({"be\"ta", "12%"});
   const std::string out = csv.to_json();
@@ -310,7 +285,7 @@ TEST(Csv, JsonKeepsColumnOrderAndNumberTyping) {
 TEST(Csv, JsonQuotesTokensStrtodWouldAccept) {
   // strtod consumes these fully, but they are not JSON numbers — they must
   // be emitted as strings or the document is unparseable.
-  CsvWriter csv({"v"});
+  Table csv({"v"});
   for (const char* cell : {"nan", "inf", "-inf", "0x1A", " 1", "1.", "017"}) {
     csv.add_row({cell});
   }
@@ -329,7 +304,7 @@ TEST(Csv, JsonQuotesTokensStrtodWouldAccept) {
 TEST(Csv, JsonPadsShortRowsWithNull) {
   // A short row must still carry every header key (the stable-column
   // contract the golden gate diffs against), with null flagging the gap.
-  CsvWriter csv({"a", "b", "c"});
+  Table csv({"a", "b", "c"});
   csv.add_row({"full", "1.0", "2.0"});
   csv.add_row({"short"});
   const std::string out = csv.to_json();
@@ -345,15 +320,15 @@ TEST(Csv, WriteFilesAreAtomicAndComplete) {
   std::filesystem::create_directories(dir);
   const std::string path = dir + "/out.csv";
 
-  CsvWriter csv({"k", "v"});
+  Table csv({"k", "v"});
   csv.add_row({"x", "1"});
-  ASSERT_TRUE(csv.write_file(path));
-  ASSERT_TRUE(csv.write_json_file(path + ".json"));
+  ASSERT_TRUE(csv.write_csv(path));
+  ASSERT_TRUE(csv.write_json(path + ".json"));
 
   std::ifstream in(path);
   std::string content((std::istreambuf_iterator<char>(in)),
                       std::istreambuf_iterator<char>());
-  EXPECT_EQ(content, csv.to_string());
+  EXPECT_EQ(content, csv.to_csv());
 
   // No temp droppings, and a failed write reports rather than truncates.
   std::size_t files = 0;
@@ -362,7 +337,7 @@ TEST(Csv, WriteFilesAreAtomicAndComplete) {
     EXPECT_EQ(e.path().filename().string().find(".tmp."), std::string::npos);
   }
   EXPECT_EQ(files, 2u);
-  EXPECT_FALSE(csv.write_file(dir + "/missing/sub/dir.csv"));
+  EXPECT_FALSE(csv.write_csv(dir + "/missing/sub/dir.csv"));
   std::filesystem::remove_all(dir);
 }
 
@@ -398,11 +373,25 @@ TEST(CliDeath, BareFlagAskedAsIntegerExitsWithError) {
               "--jobs expects an integer");
 }
 
-TEST(CliDeath, MalformedDoubleExitsWithError) {
-  const char* argv[] = {"prog", "--frac=abc"};
+TEST(CliDeath, NegativeCountExitsWithError) {
+  // "--jobs=-1" used to become SIZE_MAX pool workers at the caller's cast
+  // (an uncaught std::length_error), and "--cycles=-1" 2^64-1 cycles.
+  const char* argv[] = {"prog", "--jobs=-1", "--cycles=-1"};
+  const CliArgs args(3, argv);
+  EXPECT_EXIT((void)args.get_int("jobs", 0, 0), ::testing::ExitedWithCode(2),
+              "--jobs expects an integer >= 0, got '-1'");
+  EXPECT_EXIT((void)args.get_int("cycles", 1000, 0),
+              ::testing::ExitedWithCode(2), "--cycles expects an integer >= 0");
+}
+
+TEST(CliDeath, ValueAboveMaxExitsWithError) {
+  // cache_gc bounds --max-mb so the byte count cannot wrap: 2^44 + 1 MB
+  // used to wrap to a 1 MB cap.
+  const char* argv[] = {"prog", "--max-mb=17592186044417"};
   const CliArgs args(2, argv);
-  EXPECT_EXIT((void)args.get_double("frac", 0.5),
-              ::testing::ExitedWithCode(2), "--frac expects a number");
+  EXPECT_EXIT((void)args.get_int("max-mb", 0, 0, 17592186044415),
+              ::testing::ExitedWithCode(2),
+              "--max-mb expects an integer in \\[0, 17592186044415\\]");
 }
 
 TEST(CliDeath, IntListJunkTokenExitsWithError) {
@@ -434,6 +423,15 @@ TEST(CliDeath, IntListNegativeValueExitsWithError) {
               "non-negative");
 }
 
+TEST(CliDeath, IntListValueBeyondIntExitsWithError) {
+  // 4294967328 = 2^32 + 32 used to wrap to a 32-entry IQ in the int cast.
+  const char* argv[] = {"prog", "--iq=4294967328,16"};
+  const CliArgs args(2, argv);
+  EXPECT_EXIT((void)args.get_int_list("iq"), ::testing::ExitedWithCode(2),
+              "--iq expects a comma-separated list of non-negative integers "
+              "up to 2147483647");
+}
+
 TEST(CliDeath, BareFlagAskedAsIntListExitsWithError) {
   const char* argv[] = {"prog", "--iq"};
   const CliArgs args(2, argv);
@@ -444,31 +442,32 @@ TEST(CliDeath, BareFlagAskedAsIntListExitsWithError) {
 TEST(Cli, WellFormedIntListsParse) {
   const char* argv[] = {"prog", "--iq=48,16", "--width=3", "--link=1,4,4,1"};
   const CliArgs args(4, argv);
-  EXPECT_EQ(args.get_int_list("iq"),
-            (std::vector<std::int64_t>{48, 16}));
-  EXPECT_EQ(args.get_int_list("width"), (std::vector<std::int64_t>{3}));
-  EXPECT_EQ(args.get_int_list("link"),
-            (std::vector<std::int64_t>{1, 4, 4, 1}));
+  EXPECT_EQ(args.get_int_list("iq"), (std::vector<int>{48, 16}));
+  EXPECT_EQ(args.get_int_list("width"), (std::vector<int>{3}));
+  EXPECT_EQ(args.get_int_list("link"), (std::vector<int>{1, 4, 4, 1}));
   EXPECT_TRUE(args.get_int_list("absent").empty());
 }
 
 TEST(Cli, WellFormedNumbersStillParse) {
-  const char* argv[] = {"prog", "--n=-42", "--x=2.5e-3", "--big=123456789"};
+  const char* argv[] = {"prog", "--n=-42", "--big=123456789", "--zero=0"};
   const CliArgs args(4, argv);
   EXPECT_EQ(args.get_int("n", 0), -42);
-  EXPECT_DOUBLE_EQ(args.get_double("x", 0.0), 2.5e-3);
   EXPECT_EQ(args.get_int("big", 0), 123456789);
-  EXPECT_DOUBLE_EQ(args.get_double("n", 0.0), -42.0);  // int as double: fine
   EXPECT_EQ(args.get_int("absent", 7), 7);
+  // Range bounds are inclusive, and a fallback is not range-checked.
+  EXPECT_EQ(args.get_int("zero", 5, 0), 0);
+  EXPECT_EQ(args.get_int("n", 0, -42, -42), -42);
+  EXPECT_EQ(args.get_int("absent", -1, 0), -1);
 }
 
 TEST(ThreadPool, RunsAllTasks) {
-  ThreadPool pool(4);
   std::atomic<int> counter{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.submit([&] { counter.fetch_add(1); });
-  }
-  pool.wait_idle();
+  {
+    ThreadPool pool(4);
+    for (int i = 0; i < 100; ++i) {
+      pool.submit([&] { counter.fetch_add(1); });
+    }
+  }  // the destructor drains the queue before joining
   EXPECT_EQ(counter.load(), 100);
 }
 
@@ -485,26 +484,6 @@ TEST(ThreadPool, SubmitTaskPropagatesException) {
   auto failing = pool.submit_task(
       []() -> int { throw std::runtime_error("boom"); });
   EXPECT_THROW((void)failing.get(), std::runtime_error);
-}
-
-TEST(ThreadPool, SubmitBulkCoversAllIndices) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(257);
-  auto futures =
-      pool.submit_bulk(hits.size(), [&](std::size_t i) { hits[i]++; });
-  ASSERT_EQ(futures.size(), hits.size());
-  for (auto& f : futures) f.get();
-  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPool, SubmitBulkReportsPerIndexFailure) {
-  ThreadPool pool(2);
-  auto futures = pool.submit_bulk(3, [](std::size_t i) {
-    if (i == 1) throw std::runtime_error("index 1");
-  });
-  EXPECT_NO_THROW(futures[0].get());
-  EXPECT_THROW(futures[1].get(), std::runtime_error);
-  EXPECT_NO_THROW(futures[2].get());
 }
 
 TEST(ParallelFor, CoversAllIndices) {

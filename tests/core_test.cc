@@ -241,13 +241,9 @@ TEST(Metrics, FairnessProperties) {
   EXPECT_EQ(fairness({}, {}), 0.0);
 }
 
-TEST(Metrics, SlowdownAndSpeedups) {
+TEST(Metrics, Slowdown) {
   EXPECT_DOUBLE_EQ(slowdown(2.0, 1.0), 2.0);
   EXPECT_DOUBLE_EQ(slowdown(2.0, 0.0), 0.0);
-  const std::vector<double> single = {2.0, 2.0};
-  const std::vector<double> smt = {1.0, 1.0};
-  EXPECT_DOUBLE_EQ(weighted_speedup(smt, single), 1.0);
-  EXPECT_DOUBLE_EQ(harmonic_speedup(smt, single), 0.5);
 }
 
 TEST(Rob, RingSemantics) {

@@ -8,6 +8,7 @@
 #include "harness/presets.h"
 #include "harness/run_cache.h"
 #include "harness/runner.h"
+#include "harness/sweep.h"
 #include "trace/workload.h"
 
 namespace clusmt::harness {
@@ -30,42 +31,45 @@ TEST(Presets, MatchPaperMethodology) {
   EXPECT_EQ(rf.fp_regs, 128);
 }
 
-TEST(Runner, DeterministicAcrossCalls) {
+TEST(SimulateWorkload, DeterministicAcrossCalls) {
   const auto suite = trace::build_quick_suite(1, 1, 1);
-  Runner runner(paper_baseline(), 4000, 1000);
-  const RunResult a = runner.run_workload(suite[0]);
-  const RunResult b = runner.run_workload(suite[0]);
+  const RunResult a = simulate_workload(paper_baseline(), suite[0], 4000, 1000);
+  const RunResult b = simulate_workload(paper_baseline(), suite[0], 4000, 1000);
   EXPECT_EQ(a.stats.committed_total(), b.stats.committed_total());
   EXPECT_DOUBLE_EQ(a.throughput, b.throughput);
 }
 
-TEST(Runner, SuiteOrderMatchesInput) {
-  const auto suite = trace::build_quick_suite(1, 1, 2);
-  Runner runner(paper_baseline(), 2000, 500, 2);
-  const auto results = runner.run_suite(suite);
-  ASSERT_EQ(results.size(), suite.size());
-  for (std::size_t i = 0; i < suite.size(); ++i) {
-    EXPECT_EQ(results[i].workload, suite[i].name);
-    EXPECT_EQ(results[i].category, suite[i].category);
-    EXPECT_GT(results[i].throughput, 0.0);
-  }
+TEST(SimulateWorkload, RejectsThreadCountMismatch) {
+  trace::WorkloadSpec bad;
+  bad.name = "bad";
+  bad.threads.resize(1);  // config expects 2
+  EXPECT_THROW((void)simulate_workload(paper_baseline(), bad, 1000, 0),
+               std::invalid_argument);
 }
 
-TEST(Runner, SingleThreadIpcCached) {
+TEST(BaselineRun, SimulatedOncePerTrace) {
   const auto suite = trace::build_quick_suite(1, 1, 1);
-  Runner runner(paper_baseline(), 3000, 1000);
-  const double first = runner.single_thread_ipc(suite[0].threads[0]);
-  const double second = runner.single_thread_ipc(suite[0].threads[0]);
+  RunCache cache;
+  const trace::TraceSpec& trace = suite[0].threads[0];
+  const double first =
+      baseline_run(cache, paper_baseline(), trace, 3000, 1000).ipc[0];
+  const double second =
+      baseline_run(cache, paper_baseline(), trace, 3000, 1000).ipc[0];
   EXPECT_DOUBLE_EQ(first, second);
   EXPECT_GT(first, 0.0);
+  EXPECT_EQ(cache.misses(), 1u);
+  EXPECT_EQ(cache.hits(), 1u);
 }
 
 // Regression: the baseline cache used to key by workload *name*, so two
 // distinct traces sharing a name silently served one trace's IPC for both.
 // Content keying must give each its own baseline.
-TEST(Runner, SingleThreadIpcKeyedByContentNotName) {
+TEST(BaselineRun, KeyedByContentNotName) {
   const auto suite = trace::build_quick_suite(1, 1, 1);
-  Runner runner(paper_baseline(), 3000, 1000);
+  RunCache cache;
+  const auto ipc = [&](const trace::TraceSpec& trace) {
+    return baseline_run(cache, paper_baseline(), trace, 3000, 1000).ipc[0];
+  };
 
   trace::TraceSpec ilp = suite[0].threads[0];
   trace::TraceSpec mem = ilp;  // same display name...
@@ -74,8 +78,8 @@ TEST(Runner, SingleThreadIpcKeyedByContentNotName) {
   mem.profile.chase_fraction = 0.3;
   ASSERT_EQ(ilp.id(), mem.id());
 
-  const double ipc_ilp = runner.single_thread_ipc(ilp);
-  const double ipc_mem = runner.single_thread_ipc(mem);
+  const double ipc_ilp = ipc(ilp);
+  const double ipc_mem = ipc(mem);
   EXPECT_GT(ipc_ilp, 0.0);
   EXPECT_GT(ipc_mem, 0.0);
   EXPECT_NE(ipc_ilp, ipc_mem);
@@ -83,37 +87,34 @@ TEST(Runner, SingleThreadIpcKeyedByContentNotName) {
   // And identical content under a different name shares the cached run.
   trace::TraceSpec alias = ilp;
   alias.profile.name = "alias-of-" + ilp.id();
-  EXPECT_DOUBLE_EQ(runner.single_thread_ipc(alias), ipc_ilp);
+  EXPECT_DOUBLE_EQ(ipc(alias), ipc_ilp);
+  EXPECT_EQ(cache.misses(), 2u);
 }
 
-TEST(Runner, FairnessInUnitInterval) {
-  const auto suite = trace::build_quick_suite(3, 1, 1);
-  Runner runner(paper_baseline(), 6000, 2000);
-  const RunResult result = runner.run_workload(suite[0]);
-  const double fair = runner.fairness_of(result, suite[0]);
-  EXPECT_GT(fair, 0.0);
-  EXPECT_LE(fair, 1.0);
-}
+TEST(RunSweep, CellsFollowSuiteOrderWithFairnessInUnitInterval) {
+  const auto quick = trace::build_quick_suite(3, 1, 2);
+  RunCache cache;
+  SweepSpec spec;
+  spec.suite.assign(quick.begin(), quick.begin() + 3);
+  spec.cycles = 3000;
+  spec.warmup = 1000;
+  spec.with_fairness = true;
+  spec.jobs = 2;
+  spec.progress = false;
+  spec.cache = &cache;
+  spec.points.push_back({"base", paper_baseline()});
 
-TEST(Runner, RunSuiteWithFairnessFillsField) {
-  const auto suite = trace::build_quick_suite(1, 1, 1);
-  std::vector<trace::WorkloadSpec> two(suite.begin(),
-                                       suite.begin() + std::min<std::size_t>(
-                                                           2, suite.size()));
-  Runner runner(paper_baseline(), 3000, 1000, 2);
-  const auto results = runner.run_suite_with_fairness(two);
-  for (const auto& r : results) {
+  const SweepResult res = run_sweep(spec);
+  ASSERT_EQ(res.cells.size(), 1u);
+  ASSERT_EQ(res.cells[0].size(), spec.suite.size());
+  for (std::size_t i = 0; i < spec.suite.size(); ++i) {
+    const RunResult& r = res.cells[0][i];
+    EXPECT_EQ(r.workload, spec.suite[i].name);
+    EXPECT_EQ(r.category, spec.suite[i].category);
+    EXPECT_GT(r.throughput, 0.0);
     EXPECT_GT(r.fairness, 0.0);
     EXPECT_LE(r.fairness, 1.0);
   }
-}
-
-TEST(Runner, RejectsThreadCountMismatch) {
-  trace::WorkloadSpec bad;
-  bad.name = "bad";
-  bad.threads.resize(1);  // config expects 2
-  Runner runner(paper_baseline(), 1000);
-  EXPECT_THROW((void)runner.run_workload(bad), std::invalid_argument);
 }
 
 TEST(ByCategory, AggregatesInDisplayOrderWithAvg) {

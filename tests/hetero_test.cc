@@ -334,6 +334,16 @@ TEST(ShapeFlagsDeath, ClusterCountOutOfRangeExitsWithError) {
               ::testing::ExitedWithCode(2), "--clusters expects 1..4");
 }
 
+TEST(ShapeFlagsDeath, ValueBeyondIntExitsWithError) {
+  // 2^32 + 32 entries used to wrap to a 32-entry IQ in the int cast.
+  const char* argv[] = {"prog", "--clusters=2", "--iq=4294967328,16"};
+  const CliArgs args(3, argv);
+  SimConfig config = harness::paper_baseline();
+  EXPECT_EXIT(harness::apply_shape_flags(args, config),
+              ::testing::ExitedWithCode(2),
+              "--iq expects a comma-separated list of non-negative integers");
+}
+
 // ---- Capability-aware steering -------------------------------------------
 
 TEST(HeteroSteering, EqualCapacitiesAreTheIdentityScale) {

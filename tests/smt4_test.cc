@@ -1,14 +1,16 @@
 // Four-thread (SMT4) integration tests: the paper evaluates two threads,
 // but the machine model accepts up to kMaxThreads contexts. These tests
 // pin down the >2-thread behaviour the Flush++ extension targets and the
-// generalisation of the suite/runner/fairness plumbing.
+// generalisation of the suite/sweep/fairness plumbing.
 #include <gtest/gtest.h>
 
 #include <set>
 
 #include "core/simulator.h"
 #include "harness/presets.h"
+#include "harness/run_cache.h"
 #include "harness/runner.h"
+#include "harness/sweep.h"
 #include "policy/adaptive.h"
 #include "trace/workload.h"
 
@@ -151,27 +153,31 @@ TEST(Smt4Sim, FlushPlusPlusNeverFlushesWithTwoThreads) {
   EXPECT_EQ(sim.stats().policy_flushes, 0u);
 }
 
-TEST(Smt4Runner, RunsWorkloadAndComputesFairness) {
+TEST(Smt4Sweep, RunsWorkloadAndComputesFairness) {
   const auto suite = trace::build_smt4_suite(23, /*mixes_count=*/1);
-  core::SimConfig config = smt4_config(policy::PolicyKind::kCssp);
-  harness::Runner runner(config, /*cycles=*/20000, /*warmup=*/5000);
+  harness::RunCache cache;
+  harness::SweepSpec spec;
+  spec.suite = {first_mix(suite)};
+  spec.cycles = 20000;
+  spec.warmup = 5000;
+  spec.with_fairness = true;
+  spec.progress = false;
+  spec.cache = &cache;
+  spec.points.push_back({"CSSP", smt4_config(policy::PolicyKind::kCssp)});
 
-  const trace::WorkloadSpec w = first_mix(suite);
-  const harness::RunResult result = runner.run_workload(w);
+  const harness::RunResult result = harness::run_sweep(spec).cells[0][0];
   for (int t = 0; t < 4; ++t) EXPECT_GT(result.ipc[t], 0.0);
   EXPECT_GT(result.throughput, 0.0);
-
-  const double fairness = runner.fairness_of(result, w);
-  EXPECT_GT(fairness, 0.0);
-  EXPECT_LE(fairness, 1.0 + 1e-9);
+  EXPECT_GT(result.fairness, 0.0);
+  EXPECT_LE(result.fairness, 1.0 + 1e-9);
 }
 
-TEST(Smt4Runner, RejectsTwoThreadWorkloadUnderFourThreadConfig) {
-  core::SimConfig config = smt4_config(policy::PolicyKind::kIcount);
-  harness::Runner runner(config, 1000);
+TEST(Smt4Sweep, RejectsTwoThreadWorkloadUnderFourThreadConfig) {
+  const core::SimConfig config = smt4_config(policy::PolicyKind::kIcount);
   const auto two_thread = trace::build_quick_suite(5, 1, 1);
-  EXPECT_THROW((void)runner.run_workload(two_thread.front()),
-               std::invalid_argument);
+  EXPECT_THROW(
+      (void)harness::simulate_workload(config, two_thread.front(), 1000, 0),
+      std::invalid_argument);
 }
 
 }  // namespace

@@ -340,11 +340,11 @@ TEST(CategoryTable, MatchesByCategoryAggregation) {
   for (std::size_t i = 0; i < metric.size(); ++i) {
     metric[i] = static_cast<double>(i + 1);
   }
-  const TableDoc doc = category_table(suite, {{"m", metric}});
-  ASSERT_GE(doc.rows.size(), 1u);
-  EXPECT_EQ(doc.header.front(), "category");
-  EXPECT_EQ(doc.header.back(), "m");
-  EXPECT_EQ(doc.rows.back().front(), "AVG");
+  const Table doc = category_table(suite, {{"m", metric}});
+  ASSERT_GE(doc.rows().size(), 1u);
+  EXPECT_EQ(doc.header().front(), "category");
+  EXPECT_EQ(doc.header().back(), "m");
+  EXPECT_EQ(doc.rows().back().front(), "AVG");
 
   const std::string csv = doc.to_csv();
   EXPECT_NE(csv.find("category,m"), std::string::npos);

@@ -17,6 +17,7 @@
 // subdirectories are pruned.
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <string>
 
 #include "common/cli.h"
@@ -68,13 +69,14 @@ int main(int argc, char** argv) {
   }
   if (command != "gc") usage(argv[0]);
 
-  const std::int64_t max_bytes = args.get_int("max-bytes", 0);
-  const std::int64_t max_mb = args.get_int("max-mb", 0);
-  const std::int64_t max_files = args.get_int("max-files", 0);
-  if (max_bytes < 0 || max_mb < 0 || max_files < 0) {
-    std::fprintf(stderr, "error: caps must be >= 0 (0 = unlimited)\n");
-    return 2;
-  }
+  // Caps are >= 0 (0 = unlimited); --max-mb stops where its byte count
+  // would no longer fit in 64 bits.
+  constexpr std::int64_t kMaxMb =
+      static_cast<std::int64_t>(std::numeric_limits<std::uint64_t>::max() >>
+                                20);
+  const std::int64_t max_bytes = args.get_int("max-bytes", 0, 0);
+  const std::int64_t max_mb = args.get_int("max-mb", 0, 0, kMaxMb);
+  const std::int64_t max_files = args.get_int("max-files", 0, 0);
   harness::GcOptions options;
   options.max_bytes = static_cast<std::uint64_t>(max_bytes);
   if (max_mb != 0) {

@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
 # Regenerates the golden-numbers tables (bench/golden/*.json): a fixed-seed,
-# small-cycle-budget run of the headline bench and the main figure benches.
+# small-cycle-budget run of the headline bench and the main figure benches,
+# each writing its --json rendering. CI compares the result with the
+# checked-in goldens byte for byte.
 #
 # Usage: tools/run_golden_suite.sh BENCH_BIN_DIR OUT_DIR
 #   BENCH_BIN_DIR  directory holding the bench_* binaries (e.g. build/bench)
@@ -31,7 +33,7 @@ flags=(--per-type 1 --mixes 2 --cycles 20000 --warmup 5000 --seed 1)
 # rf-study benches.
 for bench in headline_summary fig2_iq_throughput fig3_copies fig10_fairness \
              ablate_links ablate_steering ext_hetero; do
-  "$bin_dir/bench_$bench" "${flags[@]}" \
-    --golden-emit "$out_dir/$bench.json" >/dev/null
+  "$bin_dir/bench_$bench" "${flags[@]}" --json "$out_dir/$bench.json" \
+    >/dev/null
 done
 echo "golden tables written to $out_dir"
