@@ -2,6 +2,8 @@
 // suite construction, and table emission. Grid running itself lives in the
 // sweep engine (harness/sweep.h); a bench declares a SweepSpec, calls
 // run_sweep, shapes the cells into per-workload series and emits them.
+// Benches report the simulated machine only; the host cost of a sweep is
+// measured end to end by sweepbench/ (BENCHMARK.json).
 //
 // Common flags (all benches; a negative count is a usage error, exit 2):
 //   --cycles N     simulated cycles per run (default per bench)
@@ -23,7 +25,6 @@
 //                  invocations (falls back to $CLUSMT_CACHE_DIR)
 #pragma once
 
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
@@ -38,13 +39,6 @@
 #include "trace/workload.h"
 
 namespace clusmt::bench {
-
-/// Monotonic wall-clock seconds for throughput benches (bench/perf_sim.cc).
-[[nodiscard]] inline double wall_time_seconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 struct BenchOptions {
   Cycle cycles = 150000;

@@ -34,7 +34,6 @@ class Interconnect {
   }
   /// Overrides one directed pair's latency (0 restores the base).
   void set_pair_latency(int from, int to, int latency_cycles);
-  [[nodiscard]] int num_links() const noexcept { return num_links_; }
   [[nodiscard]] const InterconnectStats& stats() const noexcept {
     return stats_;
   }

@@ -33,10 +33,6 @@ class PortSet {
   /// Number of free ports still compatible with `cls`.
   [[nodiscard]] int free_compatible(trace::PortClass cls) const noexcept;
 
-  [[nodiscard]] bool port_busy(int port) const noexcept {
-    return busy_[port];
-  }
-
   /// True when every port is booked this cycle (no class can issue).
   [[nodiscard]] bool all_booked() const noexcept {
     for (int p = 0; p < num_ports_; ++p) {

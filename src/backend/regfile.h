@@ -40,9 +40,6 @@ class RegisterFile {
   [[nodiscard]] int free_count() const noexcept {
     return static_cast<int>(free_.size());
   }
-  [[nodiscard]] int used_total() const noexcept {
-    return capacity_ - free_count();
-  }
   [[nodiscard]] int used_by(ThreadId tid) const { return used_by_[tid]; }
   [[nodiscard]] const RegFileStats& stats() const noexcept { return stats_; }
 

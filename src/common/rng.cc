@@ -81,8 +81,6 @@ std::uint64_t Xoshiro256::geometric(double p, std::uint64_t cap) noexcept {
   return geometric_formula(std::log1p(-p), (*this)() >> 11, cap);
 }
 
-Xoshiro256 Xoshiro256::fork() noexcept { return Xoshiro256((*this)()); }
-
 GeometricDist::GeometricDist(double p) noexcept
     : p_(p),
       log1p_neg_p_(p > 0.0 && p < 1.0 ? std::log1p(-p) : 0.0),

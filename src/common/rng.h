@@ -42,9 +42,6 @@ class Xoshiro256 {
   /// probability p in (0, 1]. Capped at `cap`.
   [[nodiscard]] std::uint64_t geometric(double p, std::uint64_t cap) noexcept;
 
-  /// Derive an independent child generator (for splitting streams).
-  [[nodiscard]] Xoshiro256 fork() noexcept;
-
  private:
   std::array<std::uint64_t, 4> s_;
 };

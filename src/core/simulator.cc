@@ -389,55 +389,30 @@ bool Simulator::probe_delta_replicable(const SkipSnapshot& snap) const {
     }
   }
 
-  const SimStats& a = snap.stats;
-  const SimStats& b = stats_;
-  if (b.cycles != a.cycles + 1) return false;
-  for (int t = 0; t < kMaxThreads; ++t) {
-    if (b.committed[t] != a.committed[t]) return false;
-  }
-  if (b.committed_copies != a.committed_copies) return false;
-  if (b.committed_branches != a.committed_branches) return false;
-  if (b.committed_loads != a.committed_loads) return false;
-  if (b.committed_stores != a.committed_stores) return false;
-  if (b.renamed_uops != a.renamed_uops) return false;
-  if (b.copies_created != a.copies_created) return false;
-  if (b.rename_cycles != a.rename_cycles) return false;
-  // rename_blocked_cycles, rename_block_{iq,rf,rob,mob} and
-  // iq_pref_stall_events may move: they are the per-cycle stall counters
-  // replicate_skip() scales.
-  if (b.non_preferred_dispatches != a.non_preferred_dispatches) return false;
-  if (b.issued_uops != a.issued_uops) return false;
-  if (b.cycles_with_issue != a.cycles_with_issue) return false;
-  for (int i = 0; i < 2; ++i) {
-    for (int k = 0; k < trace::kNumPortClasses; ++k) {
-      if (b.imbalance_events[i][k] != a.imbalance_events[i][k]) return false;
-    }
-  }
-  if (b.squashed_uops != a.squashed_uops) return false;
-  if (b.branches_resolved != a.branches_resolved) return false;
-  if (b.mispredicts_resolved != a.mispredicts_resolved) return false;
-  if (b.policy_flushes != a.policy_flushes) return false;
-  if (b.load_l2_misses != a.load_l2_misses) return false;
-  if (b.store_l2_misses != a.store_l2_misses) return false;
-  if (b.load_forwards != a.load_forwards) return false;
+  // Only cycles (+1) and the per-cycle stall counters replicate_skip()
+  // scales may move; every other counter, including any added later, must
+  // be frozen.
+  SimStats quiescent = snap.stats;
+  quiescent.cycles += 1;
+  quiescent.rename_blocked_cycles = stats_.rename_blocked_cycles;
+  quiescent.rename_block_iq = stats_.rename_block_iq;
+  quiescent.rename_block_rf = stats_.rename_block_rf;
+  quiescent.rename_block_rob = stats_.rename_block_rob;
+  quiescent.rename_block_mob = stats_.rename_block_mob;
+  quiescent.iq_pref_stall_events = stats_.iq_pref_stall_events;
+  if (stats_ != quiescent) return false;
 
   // The front end must not have moved at all (its cursors only advance on
   // a successful selection, which these counters would record).
-  const frontend::FetchStats& f = fetch_->stats();
-  if (f.fetched_uops != snap.fetch.fetched_uops) return false;
-  if (f.wrong_path_uops != snap.fetch.wrong_path_uops) return false;
-  if (f.fetch_cycles != snap.fetch.fetch_cycles) return false;
-  if (f.tc_hit_cycles != snap.fetch.tc_hit_cycles) return false;
-  if (f.mispredicts_seen != snap.fetch.mispredicts_seen) return false;
-  if (f.itlb_stalls != snap.fetch.itlb_stalls) return false;
+  if (fetch_->stats() != snap.fetch) return false;
 
   // MOB: the full-stall tally of a blocked memory rename and the wait
   // tally of re-polled blocked loads may move (both replicate per cycle);
   // an allocation, forward, or cache access is real progress.
-  const memory::MobStats& m = mob_->stats();
-  if (m.allocations != snap.mob.allocations) return false;
-  if (m.forwards != snap.mob.forwards) return false;
-  if (m.cache_accesses != snap.mob.cache_accesses) return false;
+  memory::MobStats quiescent_mob = snap.mob;
+  quiescent_mob.full_stalls = mob_->stats().full_stalls;
+  quiescent_mob.waits = mob_->stats().waits;
+  if (mob_->stats() != quiescent_mob) return false;
 
   // Round-robin steering advances its cursor on every decision, even a
   // doomed one; replicating would skew every later steer. The stateless
@@ -562,11 +537,9 @@ void Simulator::init_view() {
   }
   view_.rf_capacity[0] = clusters_[0].rf(RegClass::kInt).capacity();
   view_.rf_capacity[1] = clusters_[0].rf(RegClass::kFp).capacity();
-  view_.issue_width = config_.issue_width;
   for (int c = 0; c < config_.num_clusters; ++c) {
     view_.rf_capacity_c[c][0] = clusters_[c].rf(RegClass::kInt).capacity();
     view_.rf_capacity_c[c][1] = clusters_[c].rf(RegClass::kFp).capacity();
-    view_.issue_width_c[c] = clusters_[c].ports().num_ports();
   }
   view_.rf_unbounded = config_.rf_unbounded();
   for (int c = 0; c < config_.num_clusters; ++c) {

@@ -47,14 +47,7 @@ class Simulator {
   explicit Simulator(const SimConfig& config);
 
   void set_issue_model(IssueModel model) noexcept { issue_model_ = model; }
-  [[nodiscard]] IssueModel issue_model() const noexcept {
-    return issue_model_;
-  }
-
   void set_event_model(EventModel model) noexcept { event_model_ = model; }
-  [[nodiscard]] EventModel event_model() const noexcept {
-    return event_model_;
-  }
 
   /// Quiescent-cycle skip-ahead (on by default): when a cycle provably
   /// changes nothing but monotone stall counters, jump `now` to the next

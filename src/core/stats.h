@@ -87,6 +87,48 @@ struct SimStats {
     return safe_ratio(static_cast<double>(iq_pref_stall_events),
                       static_cast<double>(committed_total()));
   }
+
+  bool operator==(const SimStats&) const = default;
 };
+
+/// Calls `f(name, counter...)` once per counter, passing that counter of
+/// each SimStats in `s` (one for the record codec, two for a field-naming
+/// comparison), in declaration order. Array counters are visited element by
+/// element under the array's name. Run-store records lay the counters out
+/// in exactly this order (harness/run_store.cc), so adding, dropping or
+/// reordering a counter here is a record format change.
+template <class F, class... Stats>
+void for_each_counter(F&& f, Stats&... s) {
+  f("cycles", s.cycles...);
+  for (int t = 0; t < kMaxThreads; ++t) f("committed", s.committed[t]...);
+  f("committed_copies", s.committed_copies...);
+  f("committed_branches", s.committed_branches...);
+  f("committed_loads", s.committed_loads...);
+  f("committed_stores", s.committed_stores...);
+  f("renamed_uops", s.renamed_uops...);
+  f("copies_created", s.copies_created...);
+  f("rename_cycles", s.rename_cycles...);
+  f("rename_blocked_cycles", s.rename_blocked_cycles...);
+  f("rename_block_iq", s.rename_block_iq...);
+  f("rename_block_rf", s.rename_block_rf...);
+  f("rename_block_rob", s.rename_block_rob...);
+  f("rename_block_mob", s.rename_block_mob...);
+  f("iq_pref_stall_events", s.iq_pref_stall_events...);
+  f("non_preferred_dispatches", s.non_preferred_dispatches...);
+  f("issued_uops", s.issued_uops...);
+  f("cycles_with_issue", s.cycles_with_issue...);
+  for (int i = 0; i < 2; ++i) {
+    for (int k = 0; k < trace::kNumPortClasses; ++k) {
+      f("imbalance_events", s.imbalance_events[i][k]...);
+    }
+  }
+  f("squashed_uops", s.squashed_uops...);
+  f("branches_resolved", s.branches_resolved...);
+  f("mispredicts_resolved", s.mispredicts_resolved...);
+  f("policy_flushes", s.policy_flushes...);
+  f("load_l2_misses", s.load_l2_misses...);
+  f("store_l2_misses", s.store_l2_misses...);
+  f("load_forwards", s.load_forwards...);
+}
 
 }  // namespace clusmt::core

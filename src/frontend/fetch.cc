@@ -5,13 +5,22 @@
 
 namespace clusmt::frontend {
 
+namespace {
+
+// Front-end constants no configuration varies.
+constexpr int kMiteWidth = 3;  // µops/cycle on a trace-cache miss
+constexpr int kItlbEntries = 1024;
+constexpr int kItlbAssoc = 8;
+constexpr int kItlbWalkLatency = 30;
+
+}  // namespace
+
 FetchEngine::FetchEngine(const FetchConfig& config, int num_threads)
     : config_(config),
       num_threads_(num_threads),
       predictor_(config.predictor),
       trace_cache_(config.trace_cache),
-      itlb_(config.itlb_entries, config.itlb_assoc,
-            config.itlb_walk_latency),
+      itlb_(kItlbEntries, kItlbAssoc, kItlbWalkLatency),
       threads_(static_cast<std::size_t>(num_threads)) {
   if (num_threads < 1 || num_threads > kMaxThreads) {
     throw std::invalid_argument("unsupported thread count");
@@ -103,7 +112,7 @@ void FetchEngine::fetch_cycle(ThreadId tid, Cycle now) {
   // check hoists out of the per-µop loop exactly.
   const bool tc_hit = trace_cache_.lookup(fetch_pc);
   if (tc_hit) ++stats_.tc_hit_cycles;
-  int budget = tc_hit ? config_.fetch_width : config_.mite_width;
+  int budget = tc_hit ? config_.fetch_width : kMiteWidth;
   const int room = config_.decode_queue_capacity - ts.queue.size();
   if (budget > room) budget = room;
 

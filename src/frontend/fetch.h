@@ -38,12 +38,8 @@ enum class FetchSelection : std::uint8_t {
 
 struct FetchConfig {
   int fetch_width = 6;        // µops/cycle on a trace-cache hit
-  int mite_width = 3;         // µops/cycle on a trace-cache miss
   int decode_queue_capacity = 24;
   int mispredict_penalty = 14;  // pipeline refill after resolution (Table 1)
-  int itlb_entries = 1024;
-  int itlb_assoc = 8;
-  int itlb_walk_latency = 30;
   FetchSelection selection = FetchSelection::kFewestInQueue;
   BranchPredictorConfig predictor;
   TraceCacheConfig trace_cache;
@@ -66,6 +62,8 @@ struct FetchStats {
   std::uint64_t tc_hit_cycles = 0;
   std::uint64_t mispredicts_seen = 0;
   std::uint64_t itlb_stalls = 0;
+
+  bool operator==(const FetchStats&) const = default;
 };
 
 /// Fixed-capacity FIFO for the per-thread decode queue. The capacity is
@@ -197,9 +195,7 @@ class FetchEngine {
   [[nodiscard]] bool on_wrong_path(ThreadId tid) const;
 
   [[nodiscard]] BranchPredictor& predictor() noexcept { return predictor_; }
-  [[nodiscard]] TraceCache& trace_cache() noexcept { return trace_cache_; }
   [[nodiscard]] const FetchStats& stats() const noexcept { return stats_; }
-  [[nodiscard]] const FetchConfig& config() const noexcept { return config_; }
 
   /// Zeroes fetch/predictor/trace-cache statistics (state stays warm).
   void reset_stats() noexcept {

@@ -66,8 +66,6 @@ class RenameMap {
   /// Squash undo for define.
   void restore(int arch, const ReplicaSet& previous);
 
-  [[nodiscard]] int num_clusters() const noexcept { return num_clusters_; }
-
  private:
   std::vector<ReplicaSet> map_;
   int num_clusters_;

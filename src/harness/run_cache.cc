@@ -91,11 +91,6 @@ void RunCache::set_store_dir(const std::string& dir) {
   warned_save_failure_.store(false, std::memory_order_relaxed);
 }
 
-std::string RunCache::store_dir() const {
-  std::lock_guard lock(mutex_);
-  return store_ == nullptr ? std::string() : store_->dir();
-}
-
 std::size_t RunCache::size() const {
   std::lock_guard lock(mutex_);
   return entries_.size();

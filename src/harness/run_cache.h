@@ -49,7 +49,6 @@ class RunCache {
   /// concurrently with get_or_run; in-flight owners keep the store they
   /// started with. Re-attaching also clears a write degradation (below).
   void set_store_dir(const std::string& dir);
-  [[nodiscard]] std::string store_dir() const;
 
   /// True once the disk tier has been demoted to read-only: after
   /// kDegradeAfterSaveFailures *consecutive* failed spills (full disk,

@@ -19,71 +19,6 @@ namespace {
 
 constexpr std::uint32_t kMagic = 0x4e524c43;  // "CLRN" little-endian
 
-// NOTE: keep these two in field-for-field lockstep, and bump
-// kRunStoreFormatVersion whenever RunResult or core::SimStats gains,
-// drops, or reorders a field — stale-format records must read as misses.
-void write_stats(ByteWriter& w, const core::SimStats& s) {
-  w.u64(s.cycles);
-  for (auto c : s.committed) w.u64(c);
-  w.u64(s.committed_copies);
-  w.u64(s.committed_branches);
-  w.u64(s.committed_loads);
-  w.u64(s.committed_stores);
-  w.u64(s.renamed_uops);
-  w.u64(s.copies_created);
-  w.u64(s.rename_cycles);
-  w.u64(s.rename_blocked_cycles);
-  w.u64(s.rename_block_iq);
-  w.u64(s.rename_block_rf);
-  w.u64(s.rename_block_rob);
-  w.u64(s.rename_block_mob);
-  w.u64(s.iq_pref_stall_events);
-  w.u64(s.non_preferred_dispatches);
-  w.u64(s.issued_uops);
-  w.u64(s.cycles_with_issue);
-  for (const auto& side : s.imbalance_events) {
-    for (auto e : side) w.u64(e);
-  }
-  w.u64(s.squashed_uops);
-  w.u64(s.branches_resolved);
-  w.u64(s.mispredicts_resolved);
-  w.u64(s.policy_flushes);
-  w.u64(s.load_l2_misses);
-  w.u64(s.store_l2_misses);
-  w.u64(s.load_forwards);
-}
-
-void read_stats(ByteReader& r, core::SimStats& s) {
-  s.cycles = r.u64();
-  for (auto& c : s.committed) c = r.u64();
-  s.committed_copies = r.u64();
-  s.committed_branches = r.u64();
-  s.committed_loads = r.u64();
-  s.committed_stores = r.u64();
-  s.renamed_uops = r.u64();
-  s.copies_created = r.u64();
-  s.rename_cycles = r.u64();
-  s.rename_blocked_cycles = r.u64();
-  s.rename_block_iq = r.u64();
-  s.rename_block_rf = r.u64();
-  s.rename_block_rob = r.u64();
-  s.rename_block_mob = r.u64();
-  s.iq_pref_stall_events = r.u64();
-  s.non_preferred_dispatches = r.u64();
-  s.issued_uops = r.u64();
-  s.cycles_with_issue = r.u64();
-  for (auto& side : s.imbalance_events) {
-    for (auto& e : side) e = r.u64();
-  }
-  s.squashed_uops = r.u64();
-  s.branches_resolved = r.u64();
-  s.mispredicts_resolved = r.u64();
-  s.policy_flushes = r.u64();
-  s.load_l2_misses = r.u64();
-  s.store_l2_misses = r.u64();
-  s.load_forwards = r.u64();
-}
-
 std::uint64_t checksum(std::string_view bytes) {
   Fnv1a h(~0ull);  // distinct seed from the RunKey passes
   h.add_bytes(bytes.data(), bytes.size());
@@ -107,7 +42,10 @@ std::string encode_run_record(const RunKey& key, const RunResult& result) {
   w.str(result.workload);
   w.str(result.category);
   w.str(result.type);
-  write_stats(w, result.stats);
+  // Bump kRunStoreFormatVersion whenever RunResult or the counter order of
+  // core::for_each_counter changes: stale-format records must read as misses.
+  core::for_each_counter([&](const char*, std::uint64_t v) { w.u64(v); },
+                         result.stats);
   for (double v : result.ipc) w.f64(v);
   w.f64(result.throughput);
   w.f64(result.fairness);
@@ -130,7 +68,8 @@ std::optional<RunResult> decode_run_record(const RunKey& key,
   result.workload = r.str();
   result.category = r.str();
   result.type = r.str();
-  read_stats(r, result.stats);
+  core::for_each_counter([&](const char*, std::uint64_t& v) { v = r.u64(); },
+                         result.stats);
   for (double& v : result.ipc) v = r.f64();
   result.throughput = r.f64();
   result.fairness = r.f64();

@@ -26,7 +26,9 @@ namespace clusmt::harness {
 
 /// Bump whenever the record layout changes — a field added to RunResult or
 /// core::SimStats, a string re-ordered, kMaxThreads resized. Old records
-/// then read as misses instead of deserializing garbage.
+/// then read as misses instead of deserializing garbage. run_store_test
+/// pins one record's bytes, so it fails on any layout change until the pin
+/// is retaken.
 inline constexpr std::uint32_t kRunStoreFormatVersion = 2;  // v2: ClusterShape keys
 
 /// Serializes `result` (with its `key`) to a self-contained record.

@@ -29,14 +29,6 @@ std::vector<int> cluster_list(const CliArgs& args, const char* flag,
 
 }  // namespace
 
-bool has_shape_flags(const CliArgs& args) {
-  for (const char* flag :
-       {"clusters", "width", "iq", "int-regs", "fp-regs", "link"}) {
-    if (args.has(flag)) return true;
-  }
-  return false;
-}
-
 void apply_shape_flags(const CliArgs& args, core::SimConfig& config) {
   const std::int64_t clusters =
       args.get_int("clusters", config.num_clusters);

@@ -21,10 +21,6 @@
 
 namespace clusmt::harness {
 
-/// True when any shape flag is present (callers may branch on it to keep a
-/// flag-less invocation on their default grid).
-[[nodiscard]] bool has_shape_flags(const CliArgs& args);
-
 /// Applies the flags above to `config`; exits(2) on malformed input.
 void apply_shape_flags(const CliArgs& args, core::SimConfig& config);
 

@@ -8,7 +8,7 @@ namespace clusmt::memory {
 
 SetAssocCache::SetAssocCache(std::uint64_t size_bytes, int assoc,
                              int line_bytes)
-    : size_bytes_(size_bytes), assoc_(assoc), line_bytes_(line_bytes) {
+    : assoc_(assoc) {
   if (assoc < 1) throw std::invalid_argument("cache associativity < 1");
   if (!std::has_single_bit(size_bytes) ||
       !std::has_single_bit(static_cast<std::uint64_t>(line_bytes))) {

@@ -42,20 +42,13 @@ class SetAssocCache {
   void reset_stats() noexcept { stats_ = CacheStats{}; }
 
   [[nodiscard]] const CacheStats& stats() const noexcept { return stats_; }
-  [[nodiscard]] std::uint64_t size_bytes() const noexcept {
-    return size_bytes_;
-  }
-  [[nodiscard]] int associativity() const noexcept { return assoc_; }
-  [[nodiscard]] int line_bytes() const noexcept { return line_bytes_; }
   [[nodiscard]] std::uint64_t num_sets() const noexcept { return num_sets_; }
 
  private:
   [[nodiscard]] std::uint64_t set_of(std::uint64_t addr) const noexcept;
   [[nodiscard]] std::uint64_t tag_of(std::uint64_t addr) const noexcept;
 
-  std::uint64_t size_bytes_;
   int assoc_;
-  int line_bytes_;
   std::uint64_t num_sets_;
   int line_shift_;
   // Line metadata, structure-of-arrays by set (num_sets_ * assoc_). The

@@ -25,6 +25,8 @@ struct MobStats {
   std::uint64_t forwards = 0;
   std::uint64_t waits = 0;
   std::uint64_t cache_accesses = 0;
+
+  bool operator==(const MobStats&) const = default;
 };
 
 class MemOrderBuffer {

@@ -21,7 +21,6 @@ class Tlb {
     return cache_.stats();
   }
   void reset_stats() noexcept { cache_.reset_stats(); }
-  [[nodiscard]] int walk_latency() const noexcept { return walk_latency_; }
 
  private:
   SetAssocCache cache_;

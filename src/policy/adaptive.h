@@ -117,9 +117,6 @@ class HillClimbPolicy final : public ResourceAssignmentPolicy {
   [[nodiscard]] std::uint64_t rounds_completed() const noexcept {
     return rounds_;
   }
-  [[nodiscard]] Cycle epoch_length() const noexcept {
-    return config_.hillclimb_epoch;
-  }
 
   /// Lowest share the climber may assign to a thread (also how far the
   /// largest share can grow: 1 - (T-1) * floor).

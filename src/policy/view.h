@@ -22,8 +22,6 @@ struct PipelineView {
   int iq_capacity_c[kMaxClusters] = {};
   int rf_capacity[kNumRegClasses] = {128, 128};  // per cluster, per class
   int rf_capacity_c[kMaxClusters][kNumRegClasses] = {};
-  int issue_width = 3;  // issue ports per cluster (homogeneous base)
-  int issue_width_c[kMaxClusters] = {};
   bool rf_unbounded = false;
 
   // Issue-queue occupancies.
@@ -104,17 +102,6 @@ struct PipelineView {
   [[nodiscard]] int iq_capacity_total() const noexcept {
     int total = 0;
     for (int c = 0; c < num_clusters; ++c) total += iq_capacity_of(c);
-    return total;
-  }
-
-  /// Issue width of one cluster (override, else the base).
-  [[nodiscard]] int issue_width_of(ClusterId c) const noexcept {
-    return issue_width_c[c] > 0 ? issue_width_c[c] : issue_width;
-  }
-
-  [[nodiscard]] int issue_width_total() const noexcept {
-    int total = 0;
-    for (int c = 0; c < num_clusters; ++c) total += issue_width_of(c);
     return total;
   }
 

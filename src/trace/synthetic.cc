@@ -36,7 +36,7 @@ std::int16_t random_fp_reg(Xoshiro256& rng) {
 
 SyntheticProgram::SyntheticProgram(const TraceProfile& profile,
                                    std::uint64_t seed)
-    : profile_(profile), seed_(seed) {
+    : profile_(profile) {
   assert(profile.validate().empty() && "invalid trace profile");
   Xoshiro256 rng(hash_combine(seed, 0x5747A71C));
 

@@ -113,7 +113,6 @@ class SyntheticProgram {
   [[nodiscard]] const std::vector<BasicBlock>& blocks() const noexcept {
     return blocks_;
   }
-  [[nodiscard]] std::uint64_t seed() const noexcept { return seed_; }
 
   // --- Flattened layout (the hot generator's view) ---
   [[nodiscard]] const std::vector<FlatUop>& flat_uops() const noexcept {
@@ -131,7 +130,6 @@ class SyntheticProgram {
   void flatten();
 
   TraceProfile profile_;
-  std::uint64_t seed_;
   std::vector<BasicBlock> blocks_;
   std::vector<FlatUop> flat_;
   std::vector<BlockInfo> info_;

@@ -1,11 +1,13 @@
-// Persistence tier of the run cache: record round-trips, cross-instance
-// ("cross-process") reuse through a shared directory, corruption and
-// version-bump fallback to recompute, concurrent writers, the sweep-level
-// zero-simulation guarantee on a warm cache dir, merging stores filled on
-// separate hosts, and garbage collection.
+// Persistence tier of the run cache: record round-trips and pinned record
+// bytes, cross-instance ("cross-process") reuse through a shared directory,
+// corruption and version-bump fallback to recompute, concurrent writers,
+// the sweep-level zero-simulation guarantee on a warm cache dir, merging
+// stores filled on separate hosts, and garbage collection.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
@@ -15,11 +17,13 @@
 #include <vector>
 
 #include "common/faultpoint.h"
+#include "common/hash.h"
 #include "common/thread_pool.h"
 #include "harness/presets.h"
 #include "harness/run_cache.h"
 #include "harness/run_store.h"
 #include "harness/sweep.h"
+#include "stats_equal.h"
 #include "trace/workload.h"
 
 namespace clusmt::harness {
@@ -44,20 +48,26 @@ class RunStoreTest : public ::testing::Test {
   std::string dir_;
 };
 
+/// Every SimStats counter distinct (1, 2, 3, … in declaration order), so a
+/// codec that drops, duplicates or reorders any counter fails a round trip.
+core::SimStats distinct_stats() {
+  constexpr std::size_t kCounters =
+      sizeof(core::SimStats) / sizeof(std::uint64_t);
+  std::array<std::uint64_t, kCounters> counters{};
+  for (std::size_t i = 0; i < kCounters; ++i) counters[i] = i + 1;
+  return std::bit_cast<core::SimStats>(counters);
+}
+
 RunResult sample_result(double salt) {
   RunResult r;
   r.workload = "wl-α";  // non-ASCII survives the byte-exact string encoding
   r.category = "ISPEC00";
   r.type = "ILP";
-  r.stats.cycles = 12345;
-  r.stats.committed[0] = 1000;
-  r.stats.committed[1] = 2000;
-  r.stats.committed_copies = 37;
-  r.stats.rename_block_rf = 11;
-  r.stats.imbalance_events[1][2] = 99;
-  r.stats.load_forwards = 5;
+  r.stats = distinct_stats();
   r.ipc[0] = 1.25 + salt;
   r.ipc[1] = 0.75;
+  r.ipc[2] = 0.5;
+  r.ipc[3] = 0.125;
   r.throughput = 2.0 + salt;
   r.fairness = 0.9;
   return r;
@@ -73,15 +83,8 @@ void expect_equal(const RunResult& a, const RunResult& b) {
   EXPECT_EQ(a.workload, b.workload);
   EXPECT_EQ(a.category, b.category);
   EXPECT_EQ(a.type, b.type);
-  EXPECT_EQ(a.stats.cycles, b.stats.cycles);
-  for (int t = 0; t < kMaxThreads; ++t) {
-    EXPECT_EQ(a.stats.committed[t], b.stats.committed[t]);
-    EXPECT_EQ(a.ipc[t], b.ipc[t]);
-  }
-  EXPECT_EQ(a.stats.committed_copies, b.stats.committed_copies);
-  EXPECT_EQ(a.stats.rename_block_rf, b.stats.rename_block_rf);
-  EXPECT_EQ(a.stats.imbalance_events[1][2], b.stats.imbalance_events[1][2]);
-  EXPECT_EQ(a.stats.load_forwards, b.stats.load_forwards);
+  core::expect_stats_equal(a.stats, b.stats, "record");
+  for (int t = 0; t < kMaxThreads; ++t) EXPECT_EQ(a.ipc[t], b.ipc[t]);
   EXPECT_EQ(a.throughput, b.throughput);
   EXPECT_EQ(a.fairness, b.fairness);
 }
@@ -96,6 +99,20 @@ TEST_F(RunStoreTest, RecordRoundTripsEveryField) {
   const auto decoded = decode_run_record(key, record);
   ASSERT_TRUE(decoded.has_value());
   expect_equal(original, *decoded);
+}
+
+// The record bytes of one fixed cell, pinned. A round trip cannot see a
+// layout change that encoder and decoder make together (a counter added,
+// dropped or reordered in both); this can, and such a change must come
+// with a kRunStoreFormatVersion bump and a new pin.
+TEST_F(RunStoreTest, RecordBytesArePinned) {
+  const RunKey key{0x0123456789abcdefull, 0xfedcba9876543210ull};
+  const std::string record = encode_run_record(key, sample_result(0.5));
+  Fnv1a digest;
+  digest.add_bytes(record.data(), record.size());
+  EXPECT_EQ(record.size(), 391u);
+  EXPECT_EQ(digest.digest(), 0x046830dc6a72298aull)
+      << "record layout changed: bump kRunStoreFormatVersion, then re-pin";
 }
 
 TEST_F(RunStoreTest, DecodeRejectsForeignKeyAndGarbage) {
