@@ -531,13 +531,8 @@ void Simulator::init_view() {
   view_.now = now_;
   view_.num_threads = config_.num_threads;
   view_.num_clusters = config_.num_clusters;
-  view_.iq_capacity = config_.iq_entries;
   for (int c = 0; c < config_.num_clusters; ++c) {
     view_.iq_capacity_c[c] = config_.effective_iq_entries(c);
-  }
-  view_.rf_capacity[0] = clusters_[0].rf(RegClass::kInt).capacity();
-  view_.rf_capacity[1] = clusters_[0].rf(RegClass::kFp).capacity();
-  for (int c = 0; c < config_.num_clusters; ++c) {
     view_.rf_capacity_c[c][0] = clusters_[c].rf(RegClass::kInt).capacity();
     view_.rf_capacity_c[c][1] = clusters_[c].rf(RegClass::kFp).capacity();
   }

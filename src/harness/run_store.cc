@@ -203,7 +203,8 @@ MergeResult merge_run_store(const std::string& into, const std::string& from,
       std::error_code mk_ec;
       fs::create_directories(fs::path(dst_path).parent_path(), mk_ec);
       if (mk_ec || !write_file_atomic(dst_path, record)) {
-        continue;  // best-effort, like RunStore::save
+        ++result.failed;
+        continue;
       }
     }
     ++result.copied;

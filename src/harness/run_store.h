@@ -77,6 +77,7 @@ struct MergeResult {
   std::uint64_t identical = 0;  // already present, byte-identical: skipped
   std::uint64_t conflicts = 0;  // present with different bytes: kept dest
   std::uint64_t invalid = 0;    // failed key/checksum validation: skipped
+  std::uint64_t failed = 0;     // absent from the destination, write failed
 };
 
 /// Unions `from` into `into` (the gather step of a sweep split across
@@ -87,7 +88,9 @@ struct MergeResult {
 /// records are content-keyed, so a conflict means corruption or a stale
 /// format, never two valid answers).
 /// Source records whose embedded key or checksum fails validation are
-/// skipped as invalid rather than propagated.
+/// skipped as invalid rather than propagated. A record that could not be
+/// written counts as failed, never as copied; a dry run writes nothing, so
+/// nothing fails.
 [[nodiscard]] MergeResult merge_run_store(const std::string& into,
                                           const std::string& from,
                                           const MergeOptions& options = {});

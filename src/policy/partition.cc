@@ -1,15 +1,8 @@
 #include "policy/partition.h"
 
 #include <algorithm>
-#include <cmath>
 
 namespace clusmt::policy {
-
-namespace {
-[[nodiscard]] int fraction_of(int capacity, double fraction) noexcept {
-  return std::max(1, static_cast<int>(std::floor(capacity * fraction)));
-}
-}  // namespace
 
 bool CispPolicy::allow_iq_dispatch(const PipelineView& view, ThreadId tid,
                                    ClusterId /*c*/, int /*count*/,

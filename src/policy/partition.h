@@ -3,9 +3,19 @@
 // differ only in where a thread may place µops.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
+
 #include "policy/policy.h"
 
 namespace clusmt::policy {
+
+/// A static partition's per-thread limit: `fraction` of `capacity`, rounded
+/// down, never below one entry. Shared by the issue-queue schemes here and
+/// the register-file schemes of policy/regfile_policy.h.
+[[nodiscard]] inline int fraction_of(int capacity, double fraction) noexcept {
+  return std::max(1, static_cast<int>(std::floor(capacity * fraction)));
+}
 
 /// Cluster-Insensitive Static Partitioning: a thread may hold at most
 /// `partition_fraction` of the *total* issue-queue entries, wherever they

@@ -1,15 +1,8 @@
 #include "policy/regfile_policy.h"
 
 #include <algorithm>
-#include <cmath>
 
 namespace clusmt::policy {
-
-namespace {
-[[nodiscard]] int half_of(int capacity, double fraction) noexcept {
-  return std::max(1, static_cast<int>(std::floor(capacity * fraction)));
-}
-}  // namespace
 
 bool CssprfPolicy::allow_rf_alloc(const PipelineView& view, ThreadId tid,
                                   ClusterId c, RegClass cls, int count) {
@@ -17,7 +10,7 @@ bool CssprfPolicy::allow_rf_alloc(const PipelineView& view, ThreadId tid,
   // Cap against the target cluster's own file: on heterogeneous grids a
   // wide cluster's half is legitimately larger than a narrow one's.
   const int limit =
-      half_of(view.rf_capacity_of(c, cls), config_.partition_fraction);
+      fraction_of(view.rf_capacity_of(c, cls), config_.partition_fraction);
   return view.rf_used[tid][c][static_cast<int>(cls)] + count <= limit;
 }
 
@@ -25,7 +18,7 @@ bool CisprfPolicy::allow_rf_alloc(const PipelineView& view, ThreadId tid,
                                   ClusterId /*c*/, RegClass cls, int count) {
   if (view.rf_unbounded) return true;
   const int limit =
-      half_of(view.rf_capacity_total(cls), config_.partition_fraction);
+      fraction_of(view.rf_capacity_total(cls), config_.partition_fraction);
   return view.rf_used_total(tid, cls) + count <= limit;
 }
 
@@ -41,9 +34,9 @@ void CdprfPolicy::roll_interval(const PipelineView& view) {
   for (ThreadId t = 0; t < view.num_threads; ++t) {
     for (int k = 0; k < kNumRegClasses; ++k) {
       PerThreadClass& s = state_[t][k];
-      const int half = half_of(view.rf_capacity_total(
-                                   static_cast<RegClass>(k)),
-                               config_.partition_fraction);
+      const int half =
+          fraction_of(view.rf_capacity_total(static_cast<RegClass>(k)),
+                      config_.partition_fraction);
       const auto average =
           static_cast<int>(s.rfoc / std::max<Cycle>(1, config_.cdprf_interval));
       s.threshold = std::min(average, half);
@@ -62,8 +55,8 @@ void CdprfPolicy::begin_cycle(const PipelineView& view) {
     for (ThreadId t = 0; t < view.num_threads; ++t) {
       for (int k = 0; k < kNumRegClasses; ++k) {
         state_[t][k].threshold =
-            half_of(view.rf_capacity_total(static_cast<RegClass>(k)),
-                    config_.partition_fraction);
+            fraction_of(view.rf_capacity_total(static_cast<RegClass>(k)),
+                        config_.partition_fraction);
       }
     }
   }

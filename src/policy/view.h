@@ -13,15 +13,11 @@ struct PipelineView {
   int num_threads = 2;
   int num_clusters = 2;
 
-  // Capacities. The scalars are the homogeneous bases; the _c arrays are
-  // per-cluster overrides for heterogeneous grids with zero-means-inherit
-  // semantics (0 falls back to the base), so hand-built homogeneous views
-  // never need to fill them. Policies read per-cluster capacity via the
-  // *_of accessors, never the raw fields.
-  int iq_capacity = 32;  // entries per cluster (homogeneous base)
-  int iq_capacity_c[kMaxClusters] = {};
-  int rf_capacity[kNumRegClasses] = {128, 128};  // per cluster, per class
-  int rf_capacity_c[kMaxClusters][kNumRegClasses] = {};
+  // Capacities of each cluster, filled for every cluster below
+  // num_clusters (clusters of a heterogeneous grid may differ). Policies
+  // read them via the *_of accessors, never the raw fields.
+  int iq_capacity_c[kMaxClusters] = {};  // issue-queue entries
+  int rf_capacity_c[kMaxClusters][kNumRegClasses] = {};  // registers/class
   bool rf_unbounded = false;
 
   // Issue-queue occupancies.
@@ -80,10 +76,9 @@ struct PipelineView {
     return total;
   }
 
-  /// Register-file capacity of one cluster (override, else the base).
+  /// Register-file capacity of one cluster.
   [[nodiscard]] int rf_capacity_of(ClusterId c, RegClass cls) const noexcept {
-    const int v = rf_capacity_c[c][static_cast<int>(cls)];
-    return v > 0 ? v : rf_capacity[static_cast<int>(cls)];
+    return rf_capacity_c[c][static_cast<int>(cls)];
   }
 
   /// Machine-wide register capacity: the sum of each cluster's own file
@@ -94,9 +89,9 @@ struct PipelineView {
     return total;
   }
 
-  /// Issue-queue capacity of one cluster (override, else the base).
+  /// Issue-queue capacity of one cluster.
   [[nodiscard]] int iq_capacity_of(ClusterId c) const noexcept {
-    return iq_capacity_c[c] > 0 ? iq_capacity_c[c] : iq_capacity;
+    return iq_capacity_c[c];
   }
 
   [[nodiscard]] int iq_capacity_total() const noexcept {

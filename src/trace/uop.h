@@ -4,7 +4,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string_view>
 
 #include "common/types.h"
 
@@ -24,7 +23,6 @@ enum class UopClass : std::uint8_t {
   kCopy,
   kNop,
 };
-inline constexpr int kNumUopClasses = 10;
 
 /// Issue-port classes of the modelled cluster (paper Table 1):
 ///   P0: int, fp, simd   P1: int, fp, simd   P2: int, mem
@@ -65,22 +63,6 @@ inline constexpr int kNumPortClasses = 3;
 
 [[nodiscard]] constexpr bool is_memory(UopClass cls) noexcept {
   return cls == UopClass::kLoad || cls == UopClass::kStore;
-}
-
-[[nodiscard]] constexpr std::string_view uop_class_name(UopClass cls) noexcept {
-  switch (cls) {
-    case UopClass::kIntAlu: return "int_alu";
-    case UopClass::kIntMul: return "int_mul";
-    case UopClass::kFpAdd: return "fp_add";
-    case UopClass::kFpMul: return "fp_mul";
-    case UopClass::kSimd: return "simd";
-    case UopClass::kLoad: return "load";
-    case UopClass::kStore: return "store";
-    case UopClass::kBranch: return "branch";
-    case UopClass::kCopy: return "copy";
-    case UopClass::kNop: return "nop";
-  }
-  return "?";
 }
 
 /// A decoded micro-operation as it leaves the trace (or the MITE/TC model).

@@ -18,11 +18,12 @@ PipelineView make_view(int threads = 2) {
   PipelineView v;
   v.num_threads = threads;
   v.num_clusters = 2;
-  v.iq_capacity = 32;
-  v.rf_capacity[0] = 64;
-  v.rf_capacity[1] = 64;
   for (int c = 0; c < 2; ++c) {
-    for (int k = 0; k < kNumRegClasses; ++k) v.rf_free[c][k] = 64;
+    v.iq_capacity_c[c] = 32;
+    for (int k = 0; k < kNumRegClasses; ++k) {
+      v.rf_capacity_c[c][k] = 64;
+      v.rf_free[c][k] = 64;
+    }
   }
   return v;
 }
@@ -353,7 +354,7 @@ TEST(UnreadyGate, ThresholdHasFloorOfFour) {
   config.unready_gate_fraction = 0.01;
   UnreadyGatePolicy policy{config};
   PipelineView v = make_view(2);
-  v.iq_capacity = 4;  // 0.01 * 8 would round to 0
+  v.iq_capacity_c[0] = v.iq_capacity_c[1] = 4;  // 0.01 * 8 would round to 0
   EXPECT_EQ(policy.gate_threshold(v), 4);
 }
 

@@ -32,32 +32,25 @@ namespace {
 
 namespace fs = std::filesystem;
 
-// Captured before any test runs (ChaosTest fixtures unset the variable):
-// the schedule the CI job exported, if any.
-const std::string g_ambient_faults = [] {
-  const char* env = std::getenv("CLUSMT_FAULTS");
-  return env != nullptr ? std::string(env) : std::string();
-}();
-
-/// Neutralizes any ambient schedule (e.g. the CI smoke arming): every test
-/// arms exactly the faults it wants, and the fault-free reference runs must
-/// really be fault-free.
-void disarm_everything() {
-  faultpoint::disarm_all();
-  ::unsetenv("CLUSMT_FAULTS");
-}
+/// One armed fault point: faultpoint::arm's arguments.
+struct Fault {
+  const char* point;
+  faultpoint::Mode mode;
+  double probability;
+  std::uint64_t seed;
+};
 
 class ChaosTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    disarm_everything();
+    faultpoint::disarm_all();
     std::string tmpl =
         (fs::temp_directory_path() / "clusmt_chaos_XXXXXX").string();
     ASSERT_NE(::mkdtemp(tmpl.data()), nullptr);
     dir_ = tmpl;
   }
   void TearDown() override {
-    disarm_everything();
+    faultpoint::disarm_all();
     std::error_code ec;
     fs::remove_all(dir_, ec);
   }
@@ -188,12 +181,18 @@ TEST_F(ChaosTest, SlicedSweepsUnderStoreFaultsMergeToFaultFreeTables) {
   // between slices. Baselines are saved in run-key order, so which records
   // a seed tears moves whenever the run key changes; the seeds are picked
   // so that a shared baseline survives in two slices.
-  const std::vector<std::pair<std::string, std::string>> slices = {
-      {".ilp.", "fsio.write:partial:0.3:8;run_store.load:error:0.3:8"},
-      {".mem.", "fsio.write:enospc:0.3:2;run_store.save:error:0.2:2"},
+  using faultpoint::Mode;
+  const std::vector<std::pair<std::string, std::vector<Fault>>> slices = {
+      {".ilp.",
+       {{"fsio.write", Mode::kPartial, 0.3, 8},
+        {"run_store.load", Mode::kError, 0.3, 8}}},
+      {".mem.",
+       {{"fsio.write", Mode::kEnospc, 0.3, 2},
+        {"run_store.save", Mode::kError, 0.2, 2}}},
       {".mix.",
-       "fsio.write:partial:0.3:4;run_store.save:error:0.2:4;"
-       "run_store.load:error:0.3:4"},
+       {{"fsio.write", Mode::kPartial, 0.3, 4},
+        {"run_store.save", Mode::kError, 0.2, 4},
+        {"run_store.load", Mode::kError, 0.3, 4}}},
   };
   std::uint64_t fires = 0;
   std::vector<std::string> slice_stores;
@@ -202,7 +201,9 @@ TEST_F(ChaosTest, SlicedSweepsUnderStoreFaultsMergeToFaultFreeTables) {
     const std::vector<trace::WorkloadSpec> part = slice(chaos_suite(), filter);
     ASSERT_EQ(part.size(), 1u);
     slice_stores.push_back(subdir("store" + filter));
-    ASSERT_TRUE(faultpoint::arm_from_spec(schedule));
+    for (const Fault& f : schedule) {
+      faultpoint::arm(f.point, f.mode, f.probability, f.seed);
+    }
     (void)sweep_into(chaos_spec(part), slice_stores.back());
     fires += faultpoint::total_fires();
     faultpoint::disarm_all();
@@ -258,7 +259,7 @@ TEST(ChaosCrashTest, CrashedSweepIsRecoveredByRerunningIt) {
   // binary for the child instead of forking a process that may hold
   // threads.
   ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
-  disarm_everything();
+  faultpoint::disarm_all();
   const std::string store = crash_store_dir();
   std::error_code ec;
   fs::remove_all(store, ec);
@@ -331,16 +332,6 @@ TEST_F(ChaosTest, FullDiskStoreDegradesToMemoryOnlyWithWarning) {
   // Re-attaching a (healthy) store clears the degradation.
   cache.set_store_dir(subdir("store2"));
   EXPECT_FALSE(cache.store_write_degraded());
-}
-
-// CI smoke hook: when the job exports an ambient CLUSMT_FAULTS (the ASan
-// lane does), its schedule must at least parse — a typo in the workflow
-// should fail loudly here instead of silently arming nothing.
-TEST(ChaosEnvSmoke, AmbientScheduleParsesCleanly) {
-  if (g_ambient_faults.empty()) GTEST_SKIP() << "no ambient CLUSMT_FAULTS";
-  EXPECT_TRUE(faultpoint::arm_from_spec(g_ambient_faults))
-      << g_ambient_faults;
-  faultpoint::disarm_all();
 }
 
 }  // namespace

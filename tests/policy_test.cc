@@ -13,11 +13,12 @@ PipelineView make_view() {
   PipelineView v;
   v.num_threads = 2;
   v.num_clusters = 2;
-  v.iq_capacity = 32;
-  v.rf_capacity[0] = 64;
-  v.rf_capacity[1] = 64;
   for (int c = 0; c < 2; ++c) {
-    for (int k = 0; k < kNumRegClasses; ++k) v.rf_free[c][k] = 64;
+    v.iq_capacity_c[c] = 32;
+    for (int k = 0; k < kNumRegClasses; ++k) {
+      v.rf_capacity_c[c][k] = 64;
+      v.rf_free[c][k] = 64;
+    }
   }
   return v;
 }

@@ -476,6 +476,19 @@ TEST_F(RunStoreTest, MergeDoesNotCopyATornSourceRecord) {
   EXPECT_FALSE(fs::exists(RunStore(dir_ + "/into").path_of(key)));
 }
 
+TEST_F(RunStoreTest, MergeCountsRecordsItCouldNotWriteAsFailed) {
+  const RunStore from(dir_ + "/from");
+  ASSERT_TRUE(from.save(RunKey{7, 7}, sample_result(0.0)));
+  ASSERT_TRUE(from.save(RunKey{8, 8}, sample_result(0.5)));
+  // A regular file where the destination's parent directory should be:
+  // no record can be written below it.
+  std::ofstream(dir_ + "/blocker") << "not a directory";
+  const MergeResult r = merge_run_store(dir_ + "/blocker/into", from.dir());
+  EXPECT_EQ(r.scanned, 2u);
+  EXPECT_EQ(r.failed, r.scanned);
+  EXPECT_EQ(r.copied, 0u);
+}
+
 TEST_F(RunStoreTest, MergeDryRunWritesNothing) {
   const RunStore from(dir_ + "/from");
   ASSERT_TRUE(from.save(RunKey{5, 5}, sample_result(0.0)));

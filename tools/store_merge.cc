@@ -10,7 +10,8 @@
 // records already present are compared byte-for-byte and skipped. A byte
 // mismatch under the same key is a conflict — corruption or a stale
 // format, never two valid answers, since records are content-keyed — and
-// the destination record wins. Exit status 1 when any conflict was seen.
+// the destination record wins. Exit status 1 when any conflict was seen or
+// any record could not be written to <into>.
 #include <cstdio>
 #include <string>
 
@@ -40,30 +41,33 @@ int main(int argc, char** argv) {
         harness::merge_run_store(into, from, options);
     std::printf(
         "%s -> %s: %llu scanned, %llu %s, %llu identical, %llu conflicts, "
-        "%llu invalid%s\n",
+        "%llu invalid, %llu failed%s\n",
         from.c_str(), into.c_str(), static_cast<unsigned long long>(r.scanned),
         static_cast<unsigned long long>(r.copied),
         options.dry_run ? "would copy" : "copied",
         static_cast<unsigned long long>(r.identical),
         static_cast<unsigned long long>(r.conflicts),
         static_cast<unsigned long long>(r.invalid),
+        static_cast<unsigned long long>(r.failed),
         options.dry_run ? " [dry run]" : "");
     total.scanned += r.scanned;
     total.copied += r.copied;
     total.identical += r.identical;
     total.conflicts += r.conflicts;
     total.invalid += r.invalid;
+    total.failed += r.failed;
   }
   if (args.positional().size() > 2) {
     std::printf(
         "total: %llu scanned, %llu %s, %llu identical, %llu conflicts, "
-        "%llu invalid\n",
+        "%llu invalid, %llu failed\n",
         static_cast<unsigned long long>(total.scanned),
         static_cast<unsigned long long>(total.copied),
         options.dry_run ? "would copy" : "copied",
         static_cast<unsigned long long>(total.identical),
         static_cast<unsigned long long>(total.conflicts),
-        static_cast<unsigned long long>(total.invalid));
+        static_cast<unsigned long long>(total.invalid),
+        static_cast<unsigned long long>(total.failed));
   }
-  return total.conflicts > 0 ? 1 : 0;
+  return total.conflicts > 0 || total.failed > 0 ? 1 : 0;
 }
